@@ -14,7 +14,6 @@ from .analysis import (
 )
 from .dag import (
     INF,
-    NEG_INF,
     Label,
     LabeledDag,
     format_dag_text,
@@ -46,8 +45,6 @@ from .reorder import (
     ExchangeStep,
     ExchangeTrace,
     format_trace,
-    get_largest_violating,
-    get_smallest_violating_next,
     lower_label,
     raise_label,
     raise_label_via_reversal,

@@ -12,7 +12,7 @@ import argparse
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analysis import (
@@ -90,8 +90,8 @@ def cmd_sort(args) -> int:
 
     if report.output:
         print(" ".join(str(v) for v in report.output))
-    s = topology_stats(t)
-    bound = report.n_elements * s.longest_path * (s.max_in_degree + s.max_out_degree)
+    # a bare hypercube may be only partly filled: bound the values actually sorted
+    bound = general_bound(replace(topology_stats(t), n=report.n_elements))
     print(
         f"n={report.n_elements} topology={format_topology(t)} "
         f"insert_cmp={report.insert_comparisons} "

@@ -20,7 +20,6 @@ from .errors import (
 )
 
 INF: float = float("inf")
-NEG_INF: float = float("-inf")
 
 # Finite labels are ints; a float slot only ever holds +-INF.
 Label = int | float
@@ -136,34 +135,22 @@ def _build(cls, n: int, edges, require_single_source: bool) -> LabeledDag:
     for lst in nxt:
         lst.sort()
 
-    indegree = [len(p) for p in prev]
-    roots = [v for v in range(n) if indegree[v] == 0]
-    queue = deque(roots)
-    visited = 0
-    while queue:
-        u = queue.popleft()
-        visited += 1
-        for v in nxt[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
-    if visited != n:
-        raise CycleError("edge set contains a directed cycle")
-    if require_single_source and len(roots) != 1:
-        raise MultipleSourcesError(
-            f"expected exactly one in-degree-0 vertex, found {len(roots)}"
-        )
-    source = roots[0]
-
+    g = cls(n=n, prev_adj=prev, next_adj=nxt, labels=[INF] * n, source=0)
+    topological_order(g)  # raises CycleError
+    roots = [v for v in range(n) if not prev[v]]
+    g.source = roots[0]
     if require_single_source:
+        if len(roots) != 1:
+            raise MultipleSourcesError(
+                f"expected exactly one in-degree-0 vertex, found {len(roots)}"
+            )
         # Implied by acyclicity plus the single root, but asserted directly.
-        reached = _reachable_count(nxt, source, n)
+        reached = _reachable_count(nxt, g.source, n)
         if reached != n:
             raise UnreachableVertexError(
-                f"{n - reached} vertices unreachable from source {source}"
+                f"{n - reached} vertices unreachable from source {g.source}"
             )
-
-    return cls(n=n, prev_adj=prev, next_adj=nxt, labels=[INF] * n, source=source)
+    return g
 
 
 def _reachable_count(nxt: list[list[int]], source: int, n: int) -> int:

@@ -1,10 +1,13 @@
 """Any single-source DAG as a min-priority queue.
 
-Vertices holding INF are free slots; finite labels are the queue contents.
+A vertex is a free slot exactly when its label is INF; finite labels are the
+queue contents, and the labels are the only record of which slots are free.
 The ordered property makes the source the minimum. Inserting lowers a free
 slot's label into place; remove-min raises the source's label to INF. Free
 slots are handed out by ascending position in the insertion order (a BFS
-order of the DAG), so a fresh queue fills layer by layer.
+order of the DAG), so a fresh queue fills layer by layer. The heap of free
+positions is lazy: it may hold positions whose vertex has since taken a
+finite label, and those are skipped when popped.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ class OrderedDagQueue:
         for pos, v in enumerate(order_list):
             self._position[v] = pos
         self._free_positions = list(range(dag.n))  # ascending, already a heap
-        self._infinite = set(range(dag.n))
         self.counter = ComparisonCounter()
         self.occupied = 0
 
@@ -65,27 +67,17 @@ class OrderedDagQueue:
         return self.occupied
 
     def infinity_slots(self) -> frozenset[int]:
-        return frozenset(self._infinite)
+        labels = self.dag.labels
+        return frozenset(v for v in range(self.dag.n) if labels[v] == INF)
 
     def _pop_free_vertex(self) -> int:
-        # lazy deletion: stale positions are skipped on the way out
+        # lazy deletion: positions whose vertex has since filled are skipped
+        labels = self.dag.labels
         while self._free_positions:
-            pos = heapq.heappop(self._free_positions)
-            v = self._order[pos]
-            if v in self._infinite:
+            v = self._order[heapq.heappop(self._free_positions)]
+            if labels[v] == INF:
                 return v
         raise FullQueueError("no free slot available")
-
-    def _absorb_infinity_moves(self, trace: ExchangeTrace) -> None:
-        # A lowering sift can displace an INF label off a later slot; each
-        # such step moves the free slot from step.to_vertex to
-        # step.from_vertex. Raising sifts never displace INF (nothing
-        # compares above it), so this is a no-op for them.
-        for step in trace.steps:
-            if step.moved_label == INF:
-                self._infinite.discard(step.to_vertex)
-                self._infinite.add(step.from_vertex)
-                heapq.heappush(self._free_positions, self._position[step.from_vertex])
 
     def insert(self, label: Label) -> int:
         """Place a finite label at the first free slot and sift; returns the
@@ -95,9 +87,13 @@ class OrderedDagQueue:
         if self.occupied >= self.dag.n:
             raise FullQueueError("queue is full")
         v = self._pop_free_vertex()
-        self._infinite.discard(v)
         trace = lower_label(self.dag, v, label, self.counter)
-        self._absorb_infinity_moves(trace)
+        if self.dag.labels[v] == INF:
+            # The sift pulled an INF down from a previous neighbour, so v is
+            # still free. Such steps form a prefix of the sift path (the INF
+            # vertices are closed under successors), and every other vertex
+            # they leave at INF was already free and queued.
+            heapq.heappush(self._free_positions, self._position[v])
         self.occupied += 1
         return trace.terminal_vertex
 
@@ -113,22 +109,20 @@ class OrderedDagQueue:
         source = self.dag.source
         smallest = self.dag.labels[source]
         trace = raise_label(self.dag, source, INF, self.counter)
-        self._infinite.add(trace.terminal_vertex)
         heapq.heappush(self._free_positions, self._position[trace.terminal_vertex])
         self.occupied -= 1
         return smallest
 
     def lower_label_at(self, v: int, new_label: Label) -> ExchangeTrace:
         """Decrease the label held at v. Lowering a free (INF) slot is a
-        targeted insert and consumes that slot."""
+        targeted insert and consumes one free slot; any position left at INF
+        is still in the free heap."""
         if not is_finite_label(new_label):
             raise NonFiniteLabelError(f"cannot lower to {new_label!r}")
         was_free = self.dag.labels[v] == INF
         trace = lower_label(self.dag, v, new_label, self.counter)
         if was_free:
-            self._infinite.discard(v)
             self.occupied += 1
-        self._absorb_infinity_moves(trace)
         return trace
 
     def raise_label_at(self, v: int, new_label: Label) -> ExchangeTrace:

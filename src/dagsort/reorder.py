@@ -2,14 +2,16 @@
 
 Lowering a label walks it toward the source, repeatedly swapping with the
 largest violating previous neighbour; raising mirrors that toward the sinks
-with the smallest violating next neighbour. Raising can also be phrased as
-lowering the negated label on the edge-reversed DAG, which
-``raise_label_via_reversal`` implements as a cross-check.
+with the smallest violating next neighbour. Each direction is one
+self-contained loop that scans the neighbourhood inline, ties going to the
+smallest vertex id (the first in the ascending adjacency list). Raising can
+also be phrased as lowering the negated label on the edge-reversed DAG,
+which ``raise_label_via_reversal`` implements as a cross-check.
 
 Cost model: selecting among a vertex's m previous (or next) neighbours costs
 exactly m label comparisons when m >= 1 (m - 1 to find the extreme neighbour
-plus one violation test) and 0 when m = 0. Every count in the package is in
-these units.
+plus one violation test) and 0 when m = 0. A sift adds its total to the
+counter once, when it ends. Every count in the package is in these units.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ class ComparisonCounter:
     __slots__ = ("count",)
 
     def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, amount: int) -> None:
-        self.count += amount
-
-    def reset(self) -> None:
         self.count = 0
 
     def __repr__(self) -> str:
@@ -75,56 +71,6 @@ def format_trace(trace: ExchangeTrace) -> str:
     )
 
 
-def get_largest_violating(
-    g: LabeledDag, v: int, counter: ComparisonCounter | None = None
-) -> int | None:
-    """Previous neighbour of v with the maximum label if that label exceeds
-    labels[v], else None. Ties break toward the smallest vertex id. Charges
-    len(prev_adj[v]) comparisons when the neighbourhood is nonempty.
-    """
-    prev = g.prev_adj[v]
-    if not prev:
-        return None
-    labels = g.labels
-    best = prev[0]
-    best_label = labels[best]
-    for u in prev[1:]:
-        lu = labels[u]
-        if lu > best_label:
-            best = u
-            best_label = lu
-    if counter is not None:
-        counter.count += len(prev)
-    if best_label > labels[v]:
-        return best
-    return None
-
-
-def get_smallest_violating_next(
-    g: LabeledDag, v: int, counter: ComparisonCounter | None = None
-) -> int | None:
-    """Mirror of get_largest_violating: next neighbour with the minimum label
-    if that label is below labels[v], smallest-id tie-break, cost
-    len(next_adj[v]) when nonempty.
-    """
-    nxt = g.next_adj[v]
-    if not nxt:
-        return None
-    labels = g.labels
-    best = nxt[0]
-    best_label = labels[best]
-    for u in nxt[1:]:
-        lu = labels[u]
-        if lu < best_label:
-            best = u
-            best_label = lu
-    if counter is not None:
-        counter.count += len(nxt)
-    if best_label < labels[v]:
-        return best
-    return None
-
-
 def lower_label(
     g: LabeledDag,
     v: int,
@@ -137,11 +83,14 @@ def lower_label(
     """Replace labels[v] with a strictly smaller value and sift it toward the
     source until no previous neighbour violates the ordered property.
 
-    Requires an ordered g on entry (validated only when ``check_ordered`` is
-    set, the scan is O(edges)); leaves g ordered with the same label multiset
-    except for the one replacement. ``iteration_hook``, when given, is called
-    with (g, current_vertex) at the end of every loop iteration; it exists
-    for instrumented tests and costs nothing otherwise.
+    Each step swaps with the previous neighbour holding the largest label,
+    ties broken toward the smallest vertex id, while that label exceeds the
+    sifted one. Requires an ordered g on entry (validated only when
+    ``check_ordered`` is set, the scan is O(edges)); leaves g ordered with
+    the same label multiset except for the one replacement.
+    ``iteration_hook``, when given, is called with (g, current_vertex) at the
+    end of every loop iteration; it exists for instrumented tests and costs
+    nothing otherwise.
     """
     if not 0 <= v < g.n:
         raise IndexError(f"vertex {v} out of range")
@@ -153,22 +102,35 @@ def lower_label(
         raise NotOrderedError("lower_label requires an ordered DAG")
 
     labels = g.labels
+    prev_adj = g.prev_adj
     labels[v] = new_label
     current = v
+    comparisons = 0
     steps: list[ExchangeStep] = []
     while True:
-        u = get_largest_violating(g, current, counter)
-        if u is None:
-            if iteration_hook is not None:
-                iteration_hook(g, current)
+        # seeding the scan with the sifted label and moving only on a strict
+        # rise lands on the largest violating label at its smallest id
+        prev = prev_adj[current]
+        comparisons += len(prev)
+        u = current
+        displaced = new_label
+        for w in prev:
+            lw = labels[w]
+            if lw > displaced:
+                u = w
+                displaced = lw
+        if u == current:
             break
-        displaced = labels[u]
-        labels[u] = labels[current]
         labels[current] = displaced
+        labels[u] = new_label
         steps.append(ExchangeStep(current, u, displaced))
         current = u
         if iteration_hook is not None:
             iteration_hook(g, current)
+    if iteration_hook is not None:
+        iteration_hook(g, current)
+    if counter is not None:
+        counter.count += comparisons
     return ExchangeTrace(tuple(steps), current)
 
 
@@ -182,7 +144,8 @@ def raise_label(
     check_ordered: bool = False,
 ) -> ExchangeTrace:
     """Replace labels[v] with a strictly larger value (INF allowed) and sift
-    it toward the sinks. Exact mirror of lower_label.
+    it toward the sinks, swapping with the smallest violating next neighbour.
+    Exact mirror of lower_label.
     """
     if not 0 <= v < g.n:
         raise IndexError(f"vertex {v} out of range")
@@ -194,22 +157,33 @@ def raise_label(
         raise NotOrderedError("raise_label requires an ordered DAG")
 
     labels = g.labels
+    next_adj = g.next_adj
     labels[v] = new_label
     current = v
+    comparisons = 0
     steps: list[ExchangeStep] = []
     while True:
-        u = get_smallest_violating_next(g, current, counter)
-        if u is None:
-            if iteration_hook is not None:
-                iteration_hook(g, current)
+        nxt = next_adj[current]
+        comparisons += len(nxt)
+        u = current
+        displaced = new_label
+        for w in nxt:
+            lw = labels[w]
+            if lw < displaced:
+                u = w
+                displaced = lw
+        if u == current:
             break
-        displaced = labels[u]
-        labels[u] = labels[current]
         labels[current] = displaced
+        labels[u] = new_label
         steps.append(ExchangeStep(current, u, displaced))
         current = u
         if iteration_hook is not None:
             iteration_hook(g, current)
+    if iteration_hook is not None:
+        iteration_hook(g, current)
+    if counter is not None:
+        counter.count += comparisons
     return ExchangeTrace(tuple(steps), current)
 
 

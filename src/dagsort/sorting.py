@@ -46,18 +46,7 @@ def dag_sort(
     values = list(values)
     if len(values) != g.n:
         raise SizeMismatchError(f"{len(values)} values for {g.n} vertices")
-    queue = OrderedDagQueue(g, order=order)
-    for value in values:
-        queue.insert(value)
-    insert_comparisons = queue.counter.count
-    output = [queue.remove_min() for _ in range(len(values))]
-    return SortReport(
-        output=output,
-        insert_comparisons=insert_comparisons,
-        remove_comparisons=queue.counter.count - insert_comparisons,
-        topology=topology,
-        n_elements=len(values),
-    )
+    return _queue_sort(g, values, order, topology)
 
 
 def hypercube_sort(values) -> SortReport:
@@ -70,17 +59,21 @@ def hypercube_sort(values) -> SortReport:
     values = list(values)
     dims = (len(values) - 1).bit_length() if len(values) > 1 else 0
     t = Hypercube(dims)
-    g = build(t)
-    queue = OrderedDagQueue(g, order=hypercube_order(dims))
+    return _queue_sort(build(t), values, hypercube_order(dims), t)
+
+
+def _queue_sort(g: LabeledDag, values: list, order, topology) -> SortReport:
+    """Insert every value, then remove as many minima; len(values) <= g.n."""
+    queue = OrderedDagQueue(g, order=order)
     for value in values:
         queue.insert(value)
     insert_comparisons = queue.counter.count
-    output = [queue.remove_min() for _ in range(len(values))]
+    output = [queue.remove_min() for _ in values]
     return SortReport(
         output=output,
         insert_comparisons=insert_comparisons,
         remove_comparisons=queue.counter.count - insert_comparisons,
-        topology=t,
+        topology=topology,
         n_elements=len(values),
     )
 

@@ -4,6 +4,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagsort import (
     INF,
@@ -23,9 +25,11 @@ from dagsort import (
     YoungGrid,
     build,
     hypercube_order,
+    lower_label,
     parse_topology,
 )
 from dagsort.demo import demo_dag
+from dagsort.random_dags import random_single_source_dag
 
 from support import finite_multiset
 
@@ -284,3 +288,67 @@ def test_interface_algebra_against_multiset_oracle():
                 assert q.get_min()[1] == min(oracle)
         assert q.dag.is_ordered()
         assert finite_multiset(q.dag) == Counter(oracle)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(0, 40),
+    st.lists(
+        st.tuples(st.sampled_from("IIILGRU"), st.integers(-30, 30), st.integers(0, 99)),
+        max_size=40,
+    ),
+)
+def test_queue_fuzz_on_non_graded_dags(seed, n, extra, ops):
+    """All five operations on random DAGs whose BFS order need not be
+    topological, so inserts can pull INF labels down into earlier slots."""
+    g = random_single_source_dag(random.Random(seed), n, extra_edges=extra)
+    q = OrderedDagQueue(g)
+    position = {v: i for i, v in enumerate(q.insertion_order)}
+    oracle = Counter()
+    for kind, x, pick in ops:
+        labels = q.dag.labels
+        free = [v for v in range(n) if labels[v] == INF]
+        finite = [v for v in range(n) if labels[v] != INF]
+        if kind == "I" and not free:
+            with pytest.raises(FullQueueError):
+                q.insert(x)
+        elif kind == "I":
+            # the insert must equal lowering the first free slot of the order
+            twin = q.dag.copy()
+            expected = lower_label(twin, min(free, key=position.__getitem__), x)
+            assert q.insert(x) == expected.terminal_vertex
+            assert labels == twin.labels
+            oracle[x] += 1
+        elif kind == "L":
+            v = pick % n
+            old = labels[v]
+            new = x if old == INF else old - 1 - pick % 7
+            q.lower_label_at(v, new)
+            oracle[new] += 1
+            if old != INF:
+                oracle[old] -= 1
+        elif kind in "GU" and not finite:
+            with pytest.raises(EmptyQueueError):
+                q.get_min() if kind == "G" else q.remove_min()
+        elif kind == "G":
+            assert q.get_min() == (g.source, min(oracle.elements()))
+        elif kind == "R" and finite:
+            v = finite[pick % len(finite)]
+            old = labels[v]
+            new = old + 1 + pick % 7
+            q.raise_label_at(v, new)
+            oracle[old] -= 1
+            oracle[new] += 1
+        elif kind == "U":
+            smallest = min(oracle.elements())
+            assert q.remove_min() == smallest
+            oracle[smallest] -= 1
+        oracle = +oracle
+        assert q.dag.is_ordered()
+        assert finite_multiset(q.dag) == oracle
+        assert len(q) == oracle.total()
+        assert q.infinity_slots() == frozenset(
+            v for v in range(n) if q.dag.labels[v] == INF
+        )

@@ -1,4 +1,4 @@
-"""Sift procedures: selectors, lowering, raising, and their contracts."""
+"""Sift procedures: neighbour selection, lowering, raising, and their contracts."""
 
 import random
 
@@ -17,13 +17,10 @@ from dagsort import (
     Star,
     build,
     format_trace,
-    get_largest_violating,
-    get_smallest_violating_next,
     lower_label,
     raise_label,
     raise_label_via_reversal,
 )
-from dagsort import reorder
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_ordered_labels, random_single_source_dag
 
@@ -41,52 +38,75 @@ EXPECTED_DEMO_FINAL = [1, 2, 3, 4, 6, 6, 8, 9, 8, 10, 14, 16]
 
 
 def test_selector_picks_largest_violating_prev(demo):
-    demo.labels[9] = 3
-    c = ComparisonCounter()
-    assert get_largest_violating(demo, 9, c) == 7  # holds 10, the max of {8, 10, 9}
-    assert c.count == 3
+    trace = lower_label(demo, 9, 3)
+    assert trace.steps[0] == (9, 7, 10)  # 10 is the max of {8, 10, 9} at 6, 7, 8
 
 
 def test_selector_tie_breaks_to_smallest_id():
     g = LabeledDag.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    g.labels[:] = [1, 7, 7, 5]
+    g.labels[:] = [1, 7, 7, 8]
     c = ComparisonCounter()
-    assert get_largest_violating(g, 3, c) == 1
-    assert c.count == 2
+    trace = lower_label(g, 3, 5, c)
+    assert [tuple(s) for s in trace.steps] == [(3, 1, 7)]
+    assert g.labels == [1, 5, 7, 7]
+    assert c.count == 3  # two previous neighbours at 3, one at 1
+
+    g.labels[:] = [1, 3, 3, 9]
+    c = ComparisonCounter()
+    trace = raise_label(g, 0, 5, c)
+    assert [tuple(s) for s in trace.steps] == [(0, 1, 3)]
+    assert g.labels == [3, 5, 3, 9]
+    assert c.count == 3  # two next neighbours at 0, one at 1
 
 
 def test_selector_none_cases(demo):
     c = ComparisonCounter()
-    assert get_largest_violating(demo, 0, c) is None  # no previous neighbours
+    trace = lower_label(demo, 0, 0, c)  # no previous neighbours
+    assert len(trace) == 0 and trace.terminal_vertex == 0
     assert c.count == 0
-    assert get_largest_violating(demo, 9, c) is None  # ordered: nothing violates
+    trace = lower_label(demo, 9, 11, c)  # 11 still exceeds 8, 10, 9: nothing violates
+    assert len(trace) == 0 and trace.terminal_vertex == 9
     assert c.count == 3  # scanning still costs
+    trace = raise_label(demo, 11, 99, c)  # a sink has no next neighbours
+    assert len(trace) == 0 and c.count == 3
 
 
 def test_next_selector_mirror():
     g = build(Star(4))
-    g.labels[:] = [INF, 4, 7, 2]
+    g.labels[:] = [1, 4, 7, 2]
     c = ComparisonCounter()
-    assert get_smallest_violating_next(g, 0, c) == 3
-    assert c.count == 3
-    assert get_smallest_violating_next(g, 3, c) is None
-    assert c.count == 3
+    trace = raise_label(g, 0, 5, c)
+    assert [tuple(s) for s in trace.steps] == [(0, 3, 2)]
+    assert c.count == 3  # the leaf 3 has no next neighbours to scan
+    trace = raise_label(g, 0, 3, c)  # 3 is below 4, 7, 5: nothing violates
+    assert len(trace) == 0
+    assert c.count == 6
 
 
 @given(ordered_dags(infinity_tail=True), st.data())
 def test_selectors_match_oracle(g, data):
+    """Every step of either sift goes where the oracle selector points, and
+    the sift costs the summed neighbourhood sizes of the vertices it visits."""
     v = data.draw(st.integers(0, g.n - 1))
-    delta = data.draw(st.integers(-15, 15))
-    if g.labels[v] != INF:
-        g.labels[v] += delta  # perturb so violations can appear
-    c_prev = ComparisonCounter()
-    c_next = ComparisonCounter()
-    assert get_largest_violating(g, v, c_prev) == oracle_largest_violating(g, v)
-    assert get_smallest_violating_next(g, v, c_next) == oracle_smallest_violating_next(
-        g, v
-    )
-    assert c_prev.count == len(g.prev_adj[v])
-    assert c_next.count == len(g.next_adj[v])
+    old = g.labels[v]
+    lowering = old == INF or data.draw(st.booleans())
+    if lowering:
+        new = data.draw(st.integers(-200, 200)) if old == INF else old - data.draw(
+            st.integers(1, 30)
+        )
+        sift, oracle, adj = lower_label, oracle_largest_violating, g.prev_adj
+    else:
+        new = INF if data.draw(st.booleans()) else old + data.draw(st.integers(1, 30))
+        sift, oracle, adj = raise_label, oracle_smallest_violating_next, g.next_adj
+    probe = g.copy()
+    probe.labels[v] = new
+    picks = [oracle(probe, v)]
+    c = ComparisonCounter()
+    trace = sift(g, v, new, c, iteration_hook=lambda h, at: picks.append(oracle(h, at)))
+    # the hook runs after every swap and once more at the exit check
+    assert picks == [s.to_vertex for s in trace.steps] + [None, None]
+    visited = [v] + [s.to_vertex for s in trace.steps]
+    assert c.count == sum(len(adj[u]) for u in visited)
 
 
 def test_lower_label_singleton():
@@ -272,24 +292,21 @@ def test_format_trace_lines(demo):
     assert format_trace(empty) == ""
 
 
-def test_inverted_tie_break_changes_the_golden_trace(demo, monkeypatch):
-    """Guard on the smallest-id tie rule: the 6,6 tie in the demo graph picks
-    vertex 3; an implementation preferring the larger id would diverge."""
-    original = reorder.get_largest_violating
+def test_inverted_tie_break_changes_the_golden_trace(demo):
+    """Guard on the smallest-id tie rule: the golden trace's (5, 3, 6) step is
+    a 6/6 tie between vertices 3 and 4; an implementation preferring the
+    larger id would go to 4 and diverge from the golden trace."""
+    tied = []
 
-    def biased(g, v, counter=None):
-        prev = g.prev_adj[v]
-        if not prev:
-            return None
-        best = max(prev, key=lambda u: (g.labels[u], u))  # wrong tie-break
-        if counter is not None:
-            counter.count += len(prev)
-        return best if g.labels[best] > g.labels[v] else None
+    def hook(g, current):
+        if current == 5:
+            tied.append([g.labels[u] for u in g.prev_adj[5]])
 
-    monkeypatch.setattr(reorder, "get_largest_violating", biased)
-    trace = lower_label(demo, 9, 3)
-    monkeypatch.setattr(reorder, "get_largest_violating", original)
-    assert [tuple(s) for s in trace.steps] != EXPECTED_DEMO_STEPS
+    trace = lower_label(demo, 9, 3, iteration_hook=hook)
+    assert demo.prev_adj[5] == [3, 4]
+    assert tied == [[6, 6]]
+    assert [tuple(s) for s in trace.steps] == EXPECTED_DEMO_STEPS
+    assert demo.labels[4] == 6  # the larger id kept its label
 
 
 def test_bulk_random_ops_stay_ordered():
