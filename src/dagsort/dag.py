@@ -24,6 +24,10 @@ INF: float = float("inf")
 # Finite labels are ints; a float slot only ever holds +-INF.
 Label = int | float
 
+# Topology builds and parsed DAG text beyond this vertex count are refused
+# outright, before anything of that size is allocated.
+MAX_VERTICES = 1 << 24
+
 
 def is_finite_label(value: object) -> bool:
     """True for a plain int (bools excluded), False for INF or anything else."""
@@ -200,6 +204,8 @@ def parse_dag_text(text: str) -> LabeledDag:
         n, m = int(tokens[0]), int(tokens[1])
     except ValueError as exc:
         raise ValueError(f"bad header: {exc}") from exc
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     if m < 0:
         raise ValueError("negative edge count")
     pos = 2

@@ -8,6 +8,13 @@ smallest vertex id (the first in the ascending adjacency list). Raising can
 also be phrased as lowering the negated label on the edge-reversed DAG,
 which ``raise_label_via_reversal`` implements as a cross-check.
 
+A sift records its walk in two plain lists, ``path`` (the vertices the
+sifted label visits, from the starting vertex to where it settles) and
+``moved`` (the label each exchange displaced), one append to each per swap.
+``ExchangeStep`` tuples are built from them only when a caller reads
+``ExchangeTrace.steps``, so callers that want only the terminal vertex, such
+as the queue and the sort drivers, never pay for them.
+
 Cost model: selecting among a vertex's m previous (or next) neighbours costs
 exactly m label comparisons when m >= 1 (m - 1 to find the extreme neighbour
 plus one violation test) and 0 when m = 0. A sift adds its total to the
@@ -16,7 +23,6 @@ counter once, when it ends. Every count in the package is in these units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .dag import Label, LabeledDag, format_label
@@ -44,20 +50,44 @@ class ExchangeStep(NamedTuple):
     moved_label: Label
 
 
-@dataclass(frozen=True)
 class ExchangeTrace:
-    """Record of one sift: the swaps in order plus where the label settled.
+    """Record of one sift: ``path`` lists the visited vertices from the
+    starting vertex to the terminal one, and ``moved[i]`` is the label the
+    exchange from ``path[i]`` to ``path[i + 1]`` displaced.
 
-    Consecutive steps form a directed path: each ``to_vertex`` is a previous
-    neighbour of its ``from_vertex`` when lowering, a next neighbour when
-    raising.
+    Consecutive path vertices are neighbours: each is a previous neighbour
+    of the one before it when lowering, a next neighbour when raising.
+    ``len(trace)`` is the number of exchanges. Traces compare equal when
+    their paths and displaced labels match; they are mutable and unhashable.
     """
 
-    steps: tuple[ExchangeStep, ...]
-    terminal_vertex: int
+    __slots__ = ("path", "moved")
+
+    def __init__(self, path: list[int], moved: list[Label]) -> None:
+        self.path = path
+        self.moved = moved
+
+    @property
+    def terminal_vertex(self) -> int:
+        """Where the sifted label settled."""
+        return self.path[-1]
+
+    @property
+    def steps(self) -> tuple[ExchangeStep, ...]:
+        """The exchanges in order, built afresh from ``path`` and ``moved``."""
+        path = self.path
+        return tuple(map(ExchangeStep, path, path[1:], self.moved))
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.moved)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExchangeTrace):
+            return NotImplemented
+        return self.path == other.path and self.moved == other.moved
+
+    def __repr__(self) -> str:
+        return f"ExchangeTrace(path={self.path!r}, moved={self.moved!r})"
 
 
 IterationHook = Optional[Callable[[LabeledDag, int], None]]
@@ -106,7 +136,8 @@ def lower_label(
     labels[v] = new_label
     current = v
     comparisons = 0
-    steps: list[ExchangeStep] = []
+    path = [v]
+    moved: list[Label] = []
     while True:
         # seeding the scan with the sifted label and moving only on a strict
         # rise lands on the largest violating label at its smallest id
@@ -123,7 +154,8 @@ def lower_label(
             break
         labels[current] = displaced
         labels[u] = new_label
-        steps.append(ExchangeStep(current, u, displaced))
+        path.append(u)
+        moved.append(displaced)
         current = u
         if iteration_hook is not None:
             iteration_hook(g, current)
@@ -131,7 +163,7 @@ def lower_label(
         iteration_hook(g, current)
     if counter is not None:
         counter.count += comparisons
-    return ExchangeTrace(tuple(steps), current)
+    return ExchangeTrace(path, moved)
 
 
 def raise_label(
@@ -161,7 +193,8 @@ def raise_label(
     labels[v] = new_label
     current = v
     comparisons = 0
-    steps: list[ExchangeStep] = []
+    path = [v]
+    moved: list[Label] = []
     while True:
         nxt = next_adj[current]
         comparisons += len(nxt)
@@ -176,7 +209,8 @@ def raise_label(
             break
         labels[current] = displaced
         labels[u] = new_label
-        steps.append(ExchangeStep(current, u, displaced))
+        path.append(u)
+        moved.append(displaced)
         current = u
         if iteration_hook is not None:
             iteration_hook(g, current)
@@ -184,7 +218,7 @@ def raise_label(
         iteration_hook(g, current)
     if counter is not None:
         counter.count += comparisons
-    return ExchangeTrace(tuple(steps), current)
+    return ExchangeTrace(path, moved)
 
 
 def raise_label_via_reversal(
@@ -220,7 +254,4 @@ def raise_label_via_reversal(
     inner = lower_label(reversed_view, v, -new_label, counter)
     for i in range(g.n):
         labels[i] = -labels[i]
-    steps = tuple(
-        ExchangeStep(s.from_vertex, s.to_vertex, -s.moved_label) for s in inner.steps
-    )
-    return ExchangeTrace(steps, inner.terminal_vertex)
+    return ExchangeTrace(inner.path, [-x for x in inner.moved])

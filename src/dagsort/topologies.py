@@ -16,11 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .dag import LabeledDag
+from .dag import MAX_VERTICES, LabeledDag
 from .errors import MultipleSourcesError
-
-# Builds beyond this vertex count are refused outright.
-MAX_VERTICES = 1 << 24
 
 
 @dataclass(frozen=True)

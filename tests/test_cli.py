@@ -6,6 +6,7 @@ entry point wiring.
 """
 
 import io
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ import pytest
 from dagsort import cli
 from dagsort.analysis import hypercube_worst_case_closed
 
-DEMO_FIXTURE = str(Path(__file__).resolve().parent.parent / "fixtures" / "demo12.dag")
+REPO = Path(__file__).resolve().parent.parent
+DEMO_FIXTURE = str(REPO / "fixtures" / "demo12.dag")
 
 GOLDEN_TRACE_TEXT = (
     "swap 9 7 label=10\n"
@@ -266,6 +268,31 @@ def test_trace_bad_arguments_exit_2(tmp_path, capsys):
         rc, out, _ = run_cli(argv, capsys=capsys)
         assert rc == 2, argv
         assert out == ""
+
+
+def test_trace_oversized_header_exits_2(tmp_path, capsys):
+    """The vertex count is checked before anything of that size is allocated."""
+    big = tmp_path / "big.dag"
+    for header in ("16777217 0\n", "20000000000000000000 0\n"):
+        big.write_text(header)
+        rc, out, err = run_cli(
+            ["trace", "--input", str(big), "--vertex", "0", "--new-label", "0"],
+            capsys=capsys,
+        )
+        assert rc == 2, header
+        assert out == ""
+        assert err.startswith("error:") and "exceeds 16777216" in err
+
+
+def test_bench_sweep_golden(monkeypatch, capsys):
+    """scripts/bench_sweep.py's default sweep, byte for byte: every count and
+    bound of the four families must survive any speed change."""
+    sweep = runpy.run_path(str(REPO / "scripts" / "bench_sweep.py"))
+    monkeypatch.setattr("sys.argv", ["bench_sweep.py"])
+    assert sweep["main"]() == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.encode() == (REPO / "fixtures" / "bench_sweep.csv").read_bytes()
 
 
 def test_module_entry_point():

@@ -9,18 +9,23 @@ from hypothesis import strategies as st
 from dagsort import (
     INF,
     ComparisonCounter,
+    ExchangeStep,
     LabeledDag,
     NotLoweringError,
     NotOrderedError,
     NotRaisingError,
+    OrderedDagQueue,
     Path,
     Star,
     build,
+    dag_sort,
     format_trace,
+    hypercube_sort,
     lower_label,
     raise_label,
     raise_label_via_reversal,
 )
+from dagsort import reorder
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_ordered_labels, random_single_source_dag
 
@@ -261,6 +266,49 @@ def test_sift_determinism(demo):
     second = lower_label(demo_dag(), 9, 3)
     assert first == second
     assert format_trace(first) == format_trace(second)
+
+
+def test_trace_records_path_and_moved_labels(demo):
+    empty = lower_label(demo, 0, 0)  # the source has no previous neighbours
+    assert len(empty) == 0 and empty.steps == () and empty.terminal_vertex == 0
+
+    trace = lower_label(demo, 9, 3)
+    assert trace.path == [9, 7, 8, 5, 3, 2]
+    assert trace.moved == [10, 9, 8, 6, 4]
+    assert len(trace) == 5 and trace.terminal_vertex == 2
+    first = trace.steps[0]
+    assert isinstance(first, ExchangeStep)
+    assert (first.from_vertex, first.to_vertex, first.moved_label) == (9, 7, 10)
+    assert trace.steps == tuple(EXPECTED_DEMO_STEPS)
+
+    assert trace == lower_label(demo_dag(), 9, 3)
+    assert trace != lower_label(demo_dag(), 9, 5)  # stops one step earlier
+    assert trace != lower_label(demo_dag(), 10, 3)
+
+
+def test_hot_path_builds_no_steps(monkeypatch):
+    """Sorting and queue calls read only terminal vertices, so no exchange
+    step is ever built on their behalf."""
+
+    def no_steps(*args):
+        raise AssertionError("ExchangeStep built on the hot path")
+
+    monkeypatch.setattr(reorder, "ExchangeStep", no_steps)
+    rng = random.Random(4)
+    values = [rng.randrange(200) for _ in range(64)]
+    assert dag_sort(build(Path(64)), values).output == sorted(values)
+    values = [rng.randrange(200) for _ in range(100)]
+    assert hypercube_sort(values).output == sorted(values)
+
+    q = OrderedDagQueue(random_single_source_dag(rng, 24, extra_edges=20))
+    for x in (9, 4, 7, 1, 8, 3):
+        q.insert(x)
+    v = q.dag.labels.index(8)
+    q.lower_label_at(v, 0)
+    v = q.dag.labels.index(3)
+    q.raise_label_at(v, 12)
+    assert q.get_min()[1] == 0
+    assert [q.remove_min() for _ in range(len(q))] == [0, 1, 4, 7, 9, 12]
 
 
 def test_loop_invariant_hook(demo):
