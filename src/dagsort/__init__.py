@@ -37,7 +37,6 @@ from .errors import (
     NotRaisingError,
     RaiseToInfinityError,
     SizeMismatchError,
-    UnreachableVertexError,
 )
 from .pqueue import OrderedDagQueue
 from .reorder import (
@@ -62,7 +61,6 @@ from .topologies import (
     cardinality,
     format_topology,
     hypercube_order,
-    next_same_popcount,
     order_for,
     parse_topology,
 )

@@ -12,7 +12,7 @@ import argparse
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import (
@@ -51,13 +51,6 @@ def make_pattern(pattern: str, n: int, rng: random.Random) -> list[int]:
     if pattern == "equal":
         return [7] * n
     raise ValueError(f"unknown pattern {pattern!r}")
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    topologies: tuple[Topology, ...]
-    patterns: tuple[str, ...]
-    seed: int
 
 
 def _read_values(path: str) -> list[int]:
@@ -122,7 +115,6 @@ def cmd_bench(args) -> int:
         for p in patterns:
             if p not in PATTERNS:
                 raise ValueError(f"unknown pattern {p!r}")
-        config = BenchConfig(tuple(topologies), patterns, args.seed)
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -131,8 +123,8 @@ def cmd_bench(args) -> int:
         "topology,n,pattern,seed,insert_cmp,remove_cmp,total_cmp,bound,"
         "worst_case_formula"
     )
-    row_seed = config.seed
-    for t in config.topologies:
+    row_seed = args.seed
+    for t in topologies:
         g = build(t)
         order = order_for(t, g)
         s = stats(g)
@@ -140,7 +132,7 @@ def cmd_bench(args) -> int:
         formula = (
             str(hypercube_worst_case_closed(t.dims)) if isinstance(t, Hypercube) else ""
         )
-        for pattern in config.patterns:
+        for pattern in patterns:
             values = make_pattern(pattern, g.n, random.Random(row_seed))
             report = dag_sort(g, values, order=order, topology=t)
             print(

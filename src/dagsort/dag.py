@@ -12,12 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .errors import (
-    CycleError,
-    MultipleSourcesError,
-    NotAnEdgeError,
-    UnreachableVertexError,
-)
+from .errors import CycleError, MultipleSourcesError, NotAnEdgeError
 
 INF: float = float("inf")
 
@@ -60,9 +55,26 @@ class LabeledDag:
     source: int
 
     @classmethod
+    def from_successors(cls, next_adj: list[list[int]]) -> "LabeledDag":
+        """Trusted constructor: ``next_adj[u]`` lists u's out-neighbours in
+        ascending order, the graph is acyclic and vertex 0 is its source.
+        Nothing is checked; input from outside the program goes through
+        ``from_edges``. The lists are kept, not copied. All labels start at
+        INF.
+        """
+        n = len(next_adj)
+        prev: list[list[int]] = [[] for _ in range(n)]
+        # ascending u, so every prev list comes out ascending without a sort
+        for u, nxt in enumerate(next_adj):
+            for v in nxt:
+                prev[v].append(u)
+        return cls(n=n, prev_adj=prev, next_adj=next_adj, labels=[INF] * n, source=0)
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "LabeledDag":
-        """Validating constructor: acyclic, exactly one in-degree-0 vertex,
-        everything reachable from it. All labels start at INF.
+        """Validating constructor: acyclic, exactly one in-degree-0 vertex
+        (which reaches every vertex, since the graph is acyclic). All labels
+        start at INF.
         """
         return _build(cls, n, edges, require_single_source=True)
 
@@ -121,7 +133,6 @@ class LabeledDag:
 def _build(cls, n: int, edges, require_single_source: bool) -> LabeledDag:
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
-    prev: list[list[int]] = [[] for _ in range(n)]
     nxt: list[list[int]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
     for u, v in edges:
@@ -133,43 +144,18 @@ def _build(cls, n: int, edges, require_single_source: bool) -> LabeledDag:
             raise ValueError(f"duplicate edge ({u}, {v})")
         seen.add((u, v))
         nxt[u].append(v)
-        prev[v].append(u)
-    for lst in prev:
-        lst.sort()
     for lst in nxt:
         lst.sort()
 
-    g = cls(n=n, prev_adj=prev, next_adj=nxt, labels=[INF] * n, source=0)
+    g = cls.from_successors(nxt)
     topological_order(g)  # raises CycleError
-    roots = [v for v in range(n) if not prev[v]]
+    roots = [v for v in range(n) if not g.prev_adj[v]]
     g.source = roots[0]
-    if require_single_source:
-        if len(roots) != 1:
-            raise MultipleSourcesError(
-                f"expected exactly one in-degree-0 vertex, found {len(roots)}"
-            )
-        # Implied by acyclicity plus the single root, but asserted directly.
-        reached = _reachable_count(nxt, g.source, n)
-        if reached != n:
-            raise UnreachableVertexError(
-                f"{n - reached} vertices unreachable from source {g.source}"
-            )
+    if require_single_source and len(roots) != 1:
+        raise MultipleSourcesError(
+            f"expected exactly one in-degree-0 vertex, found {len(roots)}"
+        )
     return g
-
-
-def _reachable_count(nxt: list[list[int]], source: int, n: int) -> int:
-    seen = [False] * n
-    seen[source] = True
-    stack = [source]
-    count = 0
-    while stack:
-        u = stack.pop()
-        count += 1
-        for v in nxt[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return count
 
 
 def topological_order(g: LabeledDag) -> list[int]:

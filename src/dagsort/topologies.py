@@ -8,6 +8,11 @@ hypercube:K subsets of a K-element universe ordered by single-bit insertion
 
 Every family is graded: each edge moves exactly one BFS layer away from the
 source, so layer order equals distance order.
+
+Each family is built by construction: ``build`` writes its successor lists
+directly, ascending and acyclic with vertex 0 as the only source, and hands
+them to ``LabeledDag.from_successors``. Nothing is re-validated; the
+validating ``LabeledDag.from_edges`` is kept for DAGs from outside.
 """
 
 from __future__ import annotations
@@ -98,43 +103,25 @@ def capacity(t: Topology) -> int:
 
 
 def build(t: Topology) -> LabeledDag:
-    """Construct the family member with every label at INF."""
+    """Construct the family member with every label at INF, straight from
+    its successor lists: they hold by construction what ``from_edges``
+    would check, so no edge list is made and nothing is re-validated.
+    """
     _validate(t)
+    n = capacity(t)
     if isinstance(t, Star):
-        edges = [(0, v) for v in range(1, t.n)]
-        return LabeledDag.from_edges(t.n, edges)
-    if isinstance(t, Path):
-        edges = [(v, v + 1) for v in range(t.n - 1)]
-        return LabeledDag.from_edges(t.n, edges)
-    if isinstance(t, YoungGrid):
-        return _build_grid(t.dims, t.side)
-    return _build_hypercube(t.dims)
-
-
-def _build_grid(dims: int, side: int) -> LabeledDag:
-    n = side**dims
-    # row-major index: coordinate i carries weight side**(dims-1-i)
-    strides = [side ** (dims - 1 - i) for i in range(dims)]
-    edges = []
-    for v in range(n):
-        rest = v
-        for stride in strides:
-            coord = rest // stride
-            rest %= stride
-            if coord + 1 < side:
-                edges.append((v, v + stride))
-    return LabeledDag.from_edges(n, edges)
-
-
-def _build_hypercube(dims: int) -> LabeledDag:
-    n = 1 << dims
-    edges = []
-    for u in range(n):
-        for b in range(dims):
-            bit = 1 << b
-            if not u & bit:
-                edges.append((u, u | bit))
-    return LabeledDag.from_edges(n, edges)
+        nxt = [list(range(1, n))] + [[] for _ in range(n - 1)]
+    elif isinstance(t, Path):
+        nxt = [[v + 1] for v in range(n - 1)] + [[]]
+    elif isinstance(t, YoungGrid):
+        # row-major: the coordinate with stride side**i is v // side**i % side
+        strides = [t.side**i for i in range(t.dims)]
+        last = t.side - 1
+        nxt = [[v + s for s in strides if v // s % t.side < last] for v in range(n)]
+    else:
+        bits = [1 << b for b in range(t.dims)]
+        nxt = [[u | bit for bit in bits if not u & bit] for u in range(n)]
+    return LabeledDag.from_successors(nxt)
 
 
 def bfs_order(g: LabeledDag) -> Iterator[int]:
@@ -160,37 +147,15 @@ def cardinality(v: int) -> int:
     return v.bit_count()
 
 
-def next_same_popcount(x: int) -> int:
-    """Smallest integer above x with the same popcount (x > 0).
-
-    Classic bit trick: move the lowest run's top bit up one position and
-    compact the rest of the run to the bottom. Constant time, no table.
+def hypercube_order(dims: int) -> list[int]:
+    """0..2^dims-1 grouped by ascending popcount, ascending value inside
+    each group (the sort is stable); a valid BFS order for the hypercube.
     """
-    low = x & -x
-    carried = x + low
-    return carried | (((x ^ carried) >> 2) // low)
-
-
-def hypercube_order(dims: int) -> Iterator[int]:
-    """Yield 0..2^dims-1 grouped by ascending popcount, ascending value
-    inside each group; a valid BFS order for the hypercube. O(1) state:
-    only the current vertex is kept between yields.
-    """
-    limit = 1 << dims
-    for m in range(dims + 1):
-        v = (1 << m) - 1
-        yield v
-        if v == 0:
-            continue
-        while True:
-            v = next_same_popcount(v)
-            if v >= limit:
-                break
-            yield v
+    return sorted(range(1 << dims), key=int.bit_count)
 
 
 def order_for(t: Topology, g: LabeledDag) -> list[int]:
     """Canonical insertion order for a built family member."""
     if isinstance(t, Hypercube):
-        return list(hypercube_order(t.dims))
+        return hypercube_order(t.dims)
     return list(bfs_order(g))

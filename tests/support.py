@@ -1,8 +1,7 @@
 """Shared oracles and hypothesis strategies for the test suite.
 
 The oracles are deliberately written differently from the production code
-(key-function extrema, exhaustive DFS, linear popcount scans) so agreement
-means something.
+(key-function extrema, exhaustive DFS) so agreement means something.
 """
 
 from __future__ import annotations
@@ -28,14 +27,6 @@ def oracle_smallest_violating_next(g: LabeledDag, v: int):
         return None
     best = min(nxt, key=lambda u: (g.labels[u], u))
     return best if g.labels[best] < g.labels[v] else None
-
-
-def oracle_next_same_popcount(x: int) -> int:
-    want = bin(x).count("1")
-    y = x + 1
-    while bin(y).count("1") != want:
-        y += 1
-    return y
 
 
 def longest_path_ending_at(g: LabeledDag) -> list[int]:

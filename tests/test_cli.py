@@ -1,8 +1,8 @@
 """End-to-end checks of the command-line front end.
 
 Everything runs in-process through cli.main so exit codes and stream
-separation are asserted exactly; one subprocess test covers the module
-entry point wiring.
+separation are asserted exactly; subprocess tests cover the module entry
+point wiring and scripts/worst_case_table.py.
 """
 
 import io
@@ -293,6 +293,19 @@ def test_bench_sweep_golden(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert out.encode() == (REPO / "fixtures" / "bench_sweep.csv").read_bytes()
+
+
+def test_worst_case_table_script():
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "worst_case_table.py"), "--max-dims", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["k", "n", "closed", "sum", "measured", "remove", "seconds"]
+    assert [int(row.split()[0]) for row in rows] == list(range(1, 9))
+    assert "MISMATCH" not in proc.stdout
 
 
 def test_module_entry_point():

@@ -1,5 +1,7 @@
 """Construction, validation, orderedness and the text format."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -16,9 +18,11 @@ from dagsort import (
     parse_label,
     topological_order,
 )
-from dagsort.demo import DEMO_EDGES, DEMO_LABELS, DEMO_N
+from dagsort.demo import DEMO_EDGES, DEMO_LABELS, DEMO_N, demo_dag
 
 from support import assert_adjacency_consistent, single_source_dags
+
+DEMO_FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "demo12.dag"
 
 
 def test_from_edges_minimal_chain():
@@ -62,6 +66,12 @@ def test_demo_graph_needs_the_tolerant_constructor(demo):
         LabeledDag.from_edges(DEMO_N, DEMO_EDGES)
     assert demo.source == 0
     assert demo.n == 12 and demo.edge_count == 18
+
+
+def test_demo_fixture_matches_demo_module():
+    """demo.py is the source (an installed package cannot read fixtures/);
+    the committed file must stay its exact text rendering."""
+    assert DEMO_FIXTURE.read_bytes() == format_dag_text(demo_dag()).encode()
 
 
 def test_single_vertex():

@@ -1,4 +1,4 @@
-"""Topology builders, vertex orders and the popcount successor."""
+"""Topology builders and vertex orders."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dagsort import (
     Hypercube,
+    LabeledDag,
     MultipleSourcesError,
     Path,
     Star,
@@ -18,13 +19,10 @@ from dagsort import (
     cardinality,
     format_topology,
     hypercube_order,
-    next_same_popcount,
     order_for,
     parse_topology,
 )
 from dagsort.demo import demo_dag
-
-from support import oracle_next_same_popcount
 
 
 def test_star_shape():
@@ -37,6 +35,44 @@ def test_star_shape():
 def test_path_shape():
     g = build(Path(4))
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "star:1",
+        "path:1",
+        "grid:0:3",
+        "grid:2:1",
+        "hypercube:0",
+        "star:2",
+        "star:17",
+        "path:2",
+        "path:33",
+        "grid:1:5",
+        "grid:3:4",
+        "grid:2:9",
+        "grid:4:3",
+        "hypercube:1",
+        "hypercube:6",
+        "hypercube:10",
+    ],
+)
+def test_build_equals_validated_build(spec):
+    """The direct builders give exactly what the validating constructor
+    makes of the same edges."""
+    t = parse_topology(spec)
+    g = build(t)
+    assert g == LabeledDag.from_edges(capacity(t), list(g.edges()))
+
+
+def test_build_does_not_revalidate(monkeypatch):
+    def refuse(cls, n, edges):
+        raise AssertionError("family builds must not go through from_edges")
+
+    monkeypatch.setattr(LabeledDag, "from_edges", classmethod(refuse))
+    for spec in ("star:5", "path:5", "grid:2:3", "hypercube:4"):
+        assert build(parse_topology(spec)).n > 1
 
 
 def test_single_vertex_members():
@@ -137,17 +173,6 @@ def test_cardinality_examples():
     assert cardinality(0) == 0
     assert cardinality(0b1011000) == 3
     assert cardinality((1 << 9) - 1) == 9
-
-
-def test_next_same_popcount_examples():
-    assert next_same_popcount(0b0011) == 0b0101
-    assert next_same_popcount(0b0100) == 0b1000
-    assert next_same_popcount(0b0111) == 0b1011
-
-
-def test_next_same_popcount_exhaustive_16_bits():
-    for x in range(1, 1 << 16):
-        assert next_same_popcount(x) == oracle_next_same_popcount(x)
 
 
 def test_hypercube_order_frozen():
