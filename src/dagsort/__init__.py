@@ -31,7 +31,6 @@ from .errors import (
     MultipleSourcesError,
     NonFiniteLabelError,
     NotAllInfinityError,
-    NotAnEdgeError,
     NotLoweringError,
     NotOrderedError,
     NotRaisingError,

@@ -72,6 +72,9 @@ def cmd_sort(args) -> int:
             t = report.topology
         else:
             t = parse_topology(args.topology)
+            n = capacity(t)
+            if len(values) != n:  # refuse before build allocates n vertices
+                raise SizeMismatchError(f"{len(values)} values for {n} vertices")
             g = build(t)
             report = dag_sort(g, values, order=order_for(t, g), topology=t)
     except (ValueError, OverflowError) as exc:
@@ -254,8 +257,7 @@ def _verify_golden_trace() -> bool:
 
     g = demo_dag()
     trace = lower_label(g, 9, 3)
-    expected_moves = [10, 9, 8, 6, 4]
-    if [s.moved_label for s in trace.steps] != expected_moves:
+    if trace.path != [9, 7, 8, 5, 3, 2] or trace.moved != [10, 9, 8, 6, 4]:
         return False
     if g.labels != [1, 2, 3, 4, 6, 6, 8, 9, 8, 10, 14, 16]:
         return False

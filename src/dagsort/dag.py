@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .errors import CycleError, MultipleSourcesError, NotAnEdgeError
+from .errors import CycleError, MultipleSourcesError
 
 INF: float = float("inf")
 
@@ -84,11 +84,6 @@ class LabeledDag:
         lowest-indexed one becomes ``source``. Cycles are still rejected.
         """
         return _build(cls, n, edges, require_single_source=False)
-
-    def is_good_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n) or v not in self.next_adj[u]:
-            raise NotAnEdgeError(f"({u}, {v}) is not an edge")
-        return self.labels[u] <= self.labels[v]
 
     def is_ordered(self) -> bool:
         labels = self.labels

@@ -13,10 +13,6 @@ class MultipleSourcesError(DagSortError):
     """Exactly one in-degree-0 vertex was required but not found."""
 
 
-class NotAnEdgeError(DagSortError):
-    """The queried (u, v) pair is not an edge of the DAG."""
-
-
 class NotLoweringError(DagSortError):
     """The new label is not strictly below the current one."""
 

@@ -11,9 +11,10 @@ which ``raise_label_via_reversal`` implements as a cross-check.
 A sift records its walk in two plain lists, ``path`` (the vertices the
 sifted label visits, from the starting vertex to where it settles) and
 ``moved`` (the label each exchange displaced), one append to each per swap.
-``ExchangeStep`` tuples are built from them only when a caller reads
-``ExchangeTrace.steps``, so callers that want only the terminal vertex, such
-as the queue and the sort drivers, never pay for them.
+Everything in the package reads those two lists: the queue and the sort
+drivers only the terminal vertex, ``format_trace``, the DOT renderer and the
+``golden-trace`` verify suite the whole walk. ``ExchangeStep`` tuples are
+built only when a caller outside the package reads ``ExchangeTrace.steps``.
 
 Cost model: selecting among a vertex's m previous (or next) neighbours costs
 exactly m label comparisons when m >= 1 (m - 1 to find the extreme neighbour
@@ -94,10 +95,11 @@ IterationHook = Optional[Callable[[LabeledDag, int], None]]
 
 
 def format_trace(trace: ExchangeTrace) -> str:
-    """Serialize a trace, one ``swap u v label=x`` line per step."""
+    """Serialize a trace, one ``swap u v label=x`` line per exchange."""
+    path = trace.path
     return "".join(
-        f"swap {s.from_vertex} {s.to_vertex} label={format_label(s.moved_label)}\n"
-        for s in trace.steps
+        f"swap {u} {v} label={format_label(x)}\n"
+        for u, v, x in zip(path, path[1:], trace.moved)
     )
 
 

@@ -4,36 +4,17 @@ One digraph per sift iteration: the vertex currently holding the sifted
 label is filled gray, the neighbour the next exchange will target is filled
 black. The final snapshot has no black vertex. Output is fully
 deterministic, byte for byte.
+
+The sift is replayed from the trace's ``path`` and ``moved`` lists. The edge
+block never changes, so it is formatted once; one plain line per vertex is
+kept, and each exchange re-formats two lines: the vertex the sifted label
+left takes the displaced label, and the vertex it entered is drawn gray.
 """
 
 from __future__ import annotations
 
 from .dag import Label, LabeledDag, format_label
 from .reorder import ExchangeTrace
-
-
-def _snapshot(
-    g: LabeledDag,
-    labels: list[Label],
-    index: int,
-    current: int,
-    target: int | None,
-) -> str:
-    lines = [f"digraph sift_{index} {{"]
-    for v in range(g.n):
-        attrs = [f'label="{format_label(labels[v])}"']
-        if v == current:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=gray")
-        elif v == target:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=black")
-            attrs.append("fontcolor=white")
-        lines.append(f"  {v} [{', '.join(attrs)}];")
-    for u, v in g.edges():
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def dot_snapshots(
@@ -45,16 +26,25 @@ def dot_snapshots(
 ) -> list[str]:
     """Replay a lowering (or raising) trace against the pre-sift labels and
     render len(trace) + 1 snapshots."""
-    labels = list(labels_before)
-    labels[vertex] = new_label
-    steps = trace.steps
-    first_target = steps[0].to_vertex if steps else None
-    snapshots = [_snapshot(g, labels, 0, vertex, first_target)]
-    for i, step in enumerate(steps):
-        labels[step.from_vertex], labels[step.to_vertex] = (
-            step.moved_label,
-            labels[step.from_vertex],
+    plain = [
+        f'  {v} [label="{format_label(x)}"];\n' for v, x in enumerate(labels_before)
+    ]
+    edge_block = "".join(f"  {u} -> {v};\n" for u, v in g.edges()) + "}\n"
+    sifted = format_label(new_label)
+    path, moved = trace.path, trace.moved
+    snapshots = []
+    for i, current in enumerate(path):
+        lines = plain.copy()
+        lines[current] = (
+            f'  {current} [label="{sifted}", style=filled, fillcolor=gray];\n'
         )
-        nxt = steps[i + 1].to_vertex if i + 1 < len(steps) else None
-        snapshots.append(_snapshot(g, labels, i + 1, step.to_vertex, nxt))
+        if i < len(moved):
+            target, displaced = path[i + 1], format_label(moved[i])
+            lines[target] = (
+                f'  {target} [label="{displaced}", style=filled, '
+                "fillcolor=black, fontcolor=white];\n"
+            )
+            # the exchange: the displaced label settles where the sifted one was
+            plain[current] = f'  {current} [label="{displaced}"];\n'
+        snapshots.append(f"digraph sift_{i} {{\n" + "".join(lines) + edge_block)
     return snapshots

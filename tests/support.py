@@ -10,7 +10,7 @@ from collections import Counter
 
 from hypothesis import strategies as st
 
-from dagsort import INF, LabeledDag, topological_order
+from dagsort import INF, LabeledDag, format_label, topological_order
 
 
 def oracle_largest_violating(g: LabeledDag, v: int):
@@ -27,6 +27,42 @@ def oracle_smallest_violating_next(g: LabeledDag, v: int):
         return None
     best = min(nxt, key=lambda u: (g.labels[u], u))
     return best if g.labels[best] < g.labels[v] else None
+
+
+def _oracle_snapshot(g, labels, index, current, target) -> str:
+    lines = [f"digraph sift_{index} {{"]
+    for v in range(g.n):
+        attrs = [f'label="{format_label(labels[v])}"']
+        if v == current:
+            attrs.append("style=filled")
+            attrs.append("fillcolor=gray")
+        elif v == target:
+            attrs.append("style=filled")
+            attrs.append("fillcolor=black")
+            attrs.append("fontcolor=white")
+        lines.append(f"  {v} [{', '.join(attrs)}];")
+    for u, v in g.edges():
+        lines.append(f"  {u} -> {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_dot_snapshots(g, labels_before, vertex, new_label, trace) -> list[str]:
+    """Full re-render of every snapshot from the trace's exchange steps: the
+    reference that the incremental ``tracefmt.dot_snapshots`` must match."""
+    labels = list(labels_before)
+    labels[vertex] = new_label
+    steps = trace.steps
+    first_target = steps[0].to_vertex if steps else None
+    snapshots = [_oracle_snapshot(g, labels, 0, vertex, first_target)]
+    for i, step in enumerate(steps):
+        labels[step.from_vertex], labels[step.to_vertex] = (
+            step.moved_label,
+            labels[step.from_vertex],
+        )
+        nxt = steps[i + 1].to_vertex if i + 1 < len(steps) else None
+        snapshots.append(_oracle_snapshot(g, labels, i + 1, step.to_vertex, nxt))
+    return snapshots
 
 
 def longest_path_ending_at(g: LabeledDag) -> list[int]:

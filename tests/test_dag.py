@@ -10,7 +10,6 @@ from dagsort import (
     CycleError,
     LabeledDag,
     MultipleSourcesError,
-    NotAnEdgeError,
     format_dag_text,
     format_label,
     is_finite_label,
@@ -79,17 +78,6 @@ def test_single_vertex():
     assert g.source == 0 and g.labels == [INF]
     assert g.is_ordered()
     assert g.labels_multiset() == {INF: 1}
-
-
-def test_is_good_edge(demo):
-    assert demo.is_good_edge(1, 2)  # 2 <= 4
-    assert demo.is_good_edge(5, 6)  # equal labels: 8 <= 8
-    demo.labels[9] = 3
-    assert not demo.is_good_edge(7, 9)  # 10 > 3
-    with pytest.raises(NotAnEdgeError):
-        demo.is_good_edge(0, 1)
-    with pytest.raises(NotAnEdgeError):
-        demo.is_good_edge(2, 0)  # edges are directed
 
 
 def test_is_ordered(demo):

@@ -1,5 +1,6 @@
 """Sift procedures: neighbour selection, lowering, raising, and their contracts."""
 
+import pathlib
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from dagsort import (
     raise_label,
     raise_label_via_reversal,
 )
-from dagsort import reorder
+from dagsort import cli, reorder
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_ordered_labels, random_single_source_dag
 
@@ -38,6 +39,7 @@ from support import (
     ordered_dags,
 )
 
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 EXPECTED_DEMO_STEPS = [(9, 7, 10), (7, 8, 9), (8, 5, 8), (5, 3, 6), (3, 2, 4)]
 EXPECTED_DEMO_FINAL = [1, 2, 3, 4, 6, 6, 8, 9, 8, 10, 14, 16]
 
@@ -286,9 +288,10 @@ def test_trace_records_path_and_moved_labels(demo):
     assert trace != lower_label(demo_dag(), 10, 3)
 
 
-def test_hot_path_builds_no_steps(monkeypatch):
-    """Sorting and queue calls read only terminal vertices, so no exchange
-    step is ever built on their behalf."""
+def test_hot_path_builds_no_steps(monkeypatch, capsys):
+    """Sorting and queue calls read only terminal vertices, and the trace
+    renderers and verify suites read ``path``/``moved``, so no exchange step
+    is ever built on their behalf."""
 
     def no_steps(*args):
         raise AssertionError("ExchangeStep built on the hot path")
@@ -309,6 +312,17 @@ def test_hot_path_builds_no_steps(monkeypatch):
     q.raise_label_at(v, 12)
     assert q.get_min()[1] == 0
     assert [q.remove_min() for _ in range(len(q))] == [0, 1, 4, 7, 9, 12]
+
+    # `dagsort verify` has no per-suite option; a full run includes golden-trace
+    capsys.readouterr()
+    assert cli.main(["verify", "--runs", "5"]) == 0
+    assert "PASS golden-trace" in capsys.readouterr().out
+    argv = ["trace", "--input", str(FIXTURES / "demo12.dag")]
+    argv += ["--vertex", "9", "--new-label", "3"]
+    assert cli.main(argv + ["--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("swap 9 7 label=10\nswap 7 8 label=9\n")
+    assert cli.main(argv + ["--format", "dot"]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "demo12_sift.dot").read_text()
 
 
 def test_loop_invariant_hook(demo):
