@@ -95,6 +95,19 @@ def dfs_longest_path_from_source(g: LabeledDag) -> int:
     return best
 
 
+def oracle_adjacency(n: int, pairs) -> tuple[list[list[int]], list[list[int]]]:
+    """Ascending successor and predecessor lists of an edge set, filled from
+    ``sorted(set(pairs))`` and its mirror rather than sorted list by list."""
+    edges = sorted(set(pairs))
+    next_adj: list[list[int]] = [[] for _ in range(n)]
+    prev_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        next_adj[u].append(v)
+    for v, u in sorted((v, u) for u, v in edges):
+        prev_adj[v].append(u)
+    return next_adj, prev_adj
+
+
 def finite_multiset(g: LabeledDag) -> Counter:
     return Counter(l for l in g.labels if l != INF)
 

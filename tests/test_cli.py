@@ -6,6 +6,7 @@ point wiring and scripts/worst_case_table.py.
 """
 
 import io
+import random
 import runpy
 import subprocess
 import sys
@@ -237,6 +238,23 @@ def test_trace_out_directory(tmp_path, capsys):
     files = sorted(p.name for p in out_dir.iterdir())
     assert files == [f"sift_{i:03d}.dot" for i in range(6)]
     assert "".join((out_dir / name).read_text() for name in files) == GOLDEN_DOT
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trace_output_ignores_edge_line_order(seed, tmp_path, capsys):
+    """The DOT edge block and the sift follow the sorted adjacency, not the
+    order in which the input lists its edges."""
+    header, *edge_lines, label_line = Path(DEMO_FIXTURE).read_text().splitlines()
+    random.Random(seed).shuffle(edge_lines)
+    shuffled = tmp_path / "shuffled.dag"
+    shuffled.write_text("\n".join([header, *edge_lines, label_line]) + "\n")
+    argv = ["trace", "--input", str(shuffled), "--vertex", "9", "--new-label", "3"]
+    rc, out, err = run_cli(argv, capsys=capsys)
+    assert (rc, err) == (0, "")
+    assert out == GOLDEN_DOT
+    rc, out, err = run_cli([*argv, "--format", "text"], capsys=capsys)
+    assert (rc, err) == (0, "")
+    assert out == GOLDEN_TRACE_TEXT
 
 
 def test_trace_not_lowering_exits_4(capsys):

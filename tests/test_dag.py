@@ -152,6 +152,39 @@ def test_text_format_rejects_malformed(text):
         parse_dag_text(text)
 
 
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("", ValueError, "expected 'n m' header"),
+        ("2", ValueError, "expected 'n m' header"),
+        ("2 x\n", ValueError, "bad header: invalid literal for int() with base 10: 'x'"),
+        ("two 1\n", ValueError, "bad header: invalid literal for int() with base 10: 'two'"),
+        ("2 -1\n", ValueError, "negative edge count"),
+        ("0 0\n", ValueError, "vertex count must be positive, got 0"),
+        ("-3 0\n", ValueError, "vertex count must be positive, got -3"),
+        ("2 1\n", ValueError, "expected 1 edges, input ends early"),
+        ("3 2\n0 1\n1\n", ValueError, "expected 2 edges, input ends early"),
+        ("2 1\n0 one\n", ValueError, "bad edge token: invalid literal for int() with base 10: 'one'"),
+        ("3 2\n0 1\n1.5 2\n", ValueError, "bad edge token: invalid literal for int() with base 10: '1.5'"),
+        ("2 1\n0 2\n", ValueError, "edge (0, 2) out of range for n=2"),
+        ("2 1\n-1 1\n", ValueError, "edge (-1, 1) out of range for n=2"),
+        ("3 2\n0 1\n1 1\n", ValueError, "self-loop at vertex 1"),
+        ("3 3\n0 1\n1 2\n0 1\n", ValueError, "duplicate edge (0, 1)"),
+        ("3 3\n0 1\n1 2\n2 0\n", CycleError, "edge set contains a directed cycle"),
+        ("2 1\n0 1\nextra 1 2\n", ValueError, "unexpected token 'extra'"),
+        ("2 1\n0 1\nlabels: 3\n", ValueError, "expected 2 labels, got 1"),
+        ("2 1\n0 1\nlabels: 3 x\n", ValueError, "bad label token: invalid literal for int() with base 10: 'x'"),
+    ],
+)
+def test_text_format_fault_messages(text, error, message):
+    """One malformed text per fault kind, with its exact exception type and
+    message: the contract of ``parse_dag_text`` for input with one fault."""
+    with pytest.raises(error) as info:
+        parse_dag_text(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_copy_is_independent(demo):
     twin = demo.copy()
     twin.labels[0] = -5
