@@ -188,7 +188,7 @@ def cmd_trace(args) -> int:
             (out_dir / f"sift_{i:03d}.dot").write_text(snap)
         print(f"wrote {len(snapshots)} snapshots to {out_dir}", file=sys.stderr)
     else:
-        sys.stdout.write("".join(snapshots))
+        sys.stdout.writelines(snapshots)
     return 0
 
 

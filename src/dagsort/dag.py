@@ -5,6 +5,9 @@ strictly greater than every finite value. An edge (u, v) is *good* when
 ``labels[u] <= labels[v]``; a DAG in which every edge is good is *ordered*.
 That property is the generalized heap invariant everything else in the
 package maintains.
+
+Outside input is checked in whole-list passes, in the order ``from_edges``
+gives, with no per-edge tuple list or dedupe set.
 """
 
 from __future__ import annotations
@@ -72,17 +75,16 @@ class LabeledDag:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "LabeledDag":
-        """Validating constructor: acyclic, exactly one in-degree-0 vertex
-        (which reaches every vertex, since the graph is acyclic). All labels
-        start at INF.
-        """
+        """Validating constructor; all labels start at INF. Checked in order:
+        range, then self-loop, per edge in input order; repeats per sorted
+        successor list (smallest ``u`` first); cycles (``CycleError``); one
+        in-degree-0 vertex, which then reaches every vertex of the DAG."""
         return _build(cls, n, edges, require_single_source=True)
 
     @classmethod
     def from_edges_multi_source(cls, n: int, edges) -> "LabeledDag":
         """Like from_edges but tolerates several in-degree-0 vertices; the
-        lowest-indexed one becomes ``source``. Cycles are still rejected.
-        """
+        lowest-indexed one becomes ``source``. Cycles are still rejected."""
         return _build(cls, n, edges, require_single_source=False)
 
     def is_ordered(self) -> bool:
@@ -129,18 +131,17 @@ def _build(cls, n: int, edges, require_single_source: bool) -> LabeledDag:
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
     nxt: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if (u, v) in seen:
-            raise ValueError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
         nxt[u].append(v)
-    for lst in nxt:
+    for u, lst in enumerate(nxt):
         lst.sort()
+        if len(set(lst)) < len(lst):
+            v = next(a for a, b in zip(lst, lst[1:]) if a == b)
+            raise ValueError(f"duplicate edge ({u}, {v})")
 
     g = cls.from_successors(nxt)
     topological_order(g)  # raises CycleError
@@ -189,26 +190,22 @@ def parse_dag_text(text: str) -> LabeledDag:
         raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     if m < 0:
         raise ValueError("negative edge count")
-    pos = 2
-    if len(tokens) < pos + 2 * m:
+    pos = 2 + 2 * m
+    if len(tokens) < pos:
         raise ValueError(f"expected {m} edges, input ends early")
-    edges = []
-    for _ in range(m):
-        try:
-            u, v = int(tokens[pos]), int(tokens[pos + 1])
-        except ValueError as exc:
-            raise ValueError(f"bad edge token: {exc}") from exc
-        edges.append((u, v))
-        pos += 2
-    g = LabeledDag.from_edges_multi_source(n, edges)
+    try:
+        ends = list(map(int, tokens[2:pos]))
+    except ValueError as exc:
+        raise ValueError(f"bad edge token: {exc}") from exc
+    g = LabeledDag.from_edges_multi_source(n, zip(ends[0::2], ends[1::2]))
     if pos < len(tokens):
         if tokens[pos] != "labels:":
             raise ValueError(f"unexpected token {tokens[pos]!r}")
-        pos += 1
-        if len(tokens) - pos != n:
-            raise ValueError(f"expected {n} labels, got {len(tokens) - pos}")
+        labels = tokens[pos + 1 :]
+        if len(labels) != n:
+            raise ValueError(f"expected {n} labels, got {len(labels)}")
         try:
-            g.labels[:] = [parse_label(t) for t in tokens[pos:]]
+            g.labels[:] = [parse_label(t) for t in labels]
         except ValueError as exc:
             raise ValueError(f"bad label token: {exc}") from exc
     return g

@@ -6,9 +6,10 @@ black. The final snapshot has no black vertex. Output is fully
 deterministic, byte for byte.
 
 The sift is replayed from the trace's ``path`` and ``moved`` lists. The edge
-block never changes, so it is formatted once; one plain line per vertex is
-kept, and each exchange re-formats two lines: the vertex the sifted label
-left takes the displaced label, and the vertex it entered is drawn gray.
+block is formatted once, from the successor lists; one plain line per vertex
+is kept, and each exchange re-formats two: the vertex the sifted label left
+takes the displaced label, and the vertex it entered is drawn gray. A
+snapshot is one join of its header, its vertex lines and the edge block.
 """
 
 from __future__ import annotations
@@ -29,22 +30,23 @@ def dot_snapshots(
     plain = [
         f'  {v} [label="{format_label(x)}"];\n' for v, x in enumerate(labels_before)
     ]
-    edge_block = "".join(f"  {u} -> {v};\n" for u, v in g.edges()) + "}\n"
+    edge_lines = [f"  {u} -> {v};\n" for u, nxt in enumerate(g.next_adj) for v in nxt]
+    edge_block = "".join(edge_lines) + "}\n"
     sifted = format_label(new_label)
     path, moved = trace.path, trace.moved
     snapshots = []
     for i, current in enumerate(path):
-        lines = plain.copy()
-        lines[current] = (
+        lines = [f"digraph sift_{i} {{\n", *plain, edge_block]
+        lines[1 + current] = (
             f'  {current} [label="{sifted}", style=filled, fillcolor=gray];\n'
         )
         if i < len(moved):
             target, displaced = path[i + 1], format_label(moved[i])
-            lines[target] = (
+            lines[1 + target] = (
                 f'  {target} [label="{displaced}", style=filled, '
                 "fillcolor=black, fontcolor=white];\n"
             )
             # the exchange: the displaced label settles where the sifted one was
             plain[current] = f'  {current} [label="{displaced}"];\n'
-        snapshots.append(f"digraph sift_{i} {{\n" + "".join(lines) + edge_block)
+        snapshots.append("".join(lines))
     return snapshots
