@@ -6,8 +6,8 @@ strictly greater than every finite value. An edge (u, v) is *good* when
 That property is the generalized heap invariant everything else in the
 package maintains.
 
-Outside input is checked in whole-list passes, in the order ``from_edges``
-gives, with no per-edge tuple list or dedupe set.
+Outside input is checked edge by edge, then list by list, then by Kahn's
+pass, in the order ``from_edges`` gives; edge tokens are converted at once.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class LabeledDag:
     @classmethod
     def from_edges_multi_source(cls, n: int, edges) -> "LabeledDag":
         """Like from_edges but tolerates several in-degree-0 vertices; the
-        lowest-indexed one becomes ``source``. Cycles are still rejected."""
+        lowest-indexed one becomes ``source``. Cycles are still rejected.
+        """
         return _build(cls, n, edges, require_single_source=False)
 
     def is_ordered(self) -> bool:

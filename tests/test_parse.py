@@ -10,8 +10,6 @@ from dagsort import INF, CycleError, format_dag_text, format_label, parse_dag_te
 
 from support import oracle_adjacency, ordered_dags
 
-labels_or_inf = st.one_of(st.integers(-50, 50), st.just(INF))
-
 
 @st.composite
 def edge_sets(draw, max_n: int = 16):
@@ -30,7 +28,8 @@ def edge_sets(draw, max_n: int = 16):
         st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)
     )
     edges = sorted({(rank[a], rank[b]) for a, b in pairs if a < b})
-    labels = draw(st.none() | st.lists(labels_or_inf, min_size=n, max_size=n))
+    label = st.integers(-50, 50) | st.just(INF)
+    labels = draw(st.none() | st.lists(label, min_size=n, max_size=n))
     return n, edges, labels
 
 
