@@ -89,6 +89,7 @@ def test_sort_garbage_input_exits_2(monkeypatch, capsys):
     rc, out, err = run_cli(["sort"], "12 x 9", monkeypatch, capsys)
     assert rc == 2
     assert out == ""
+    assert err == "error: invalid literal for int() with base 10: 'x'\n"
 
 
 def test_sort_bad_topology_exits_2(monkeypatch, capsys):
