@@ -55,7 +55,7 @@ def make_pattern(pattern: str, n: int, rng: random.Random) -> list[int]:
 
 def _read_values(path: str) -> list[int]:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return [int(tok) for tok in text.split()]
+    return list(map(int, text.split()))
 
 
 def cmd_sort(args) -> int:
@@ -85,7 +85,7 @@ def cmd_sort(args) -> int:
         return 3
 
     if report.output:
-        print(" ".join(str(v) for v in report.output))
+        print(" ".join(map(str, report.output)))
     # a bare hypercube may be only partly filled: bound the values actually sorted
     bound = general_bound(replace(topology_stats(t), n=report.n_elements))
     print(

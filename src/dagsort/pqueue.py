@@ -37,21 +37,23 @@ class OrderedDagQueue:
     """
 
     def __init__(self, dag: LabeledDag, order=None):
-        if sum(1 for p in dag.prev_adj if not p) != 1:
+        if dag.prev_adj.count([]) != 1:
             raise MultipleSourcesError("queue requires a single-source DAG")
-        if any(l != INF for l in dag.labels):
+        if dag.labels.count(INF) != dag.n:
             raise NotAllInfinityError("queue creation requires all labels at INF")
         self.dag = dag
         order_list = list(order) if order is not None else list(bfs_order(dag))
-        if len(order_list) != dag.n or set(order_list) != set(range(dag.n)):
+        # n distinct members of range(n) are a permutation of it
+        distinct = len(order_list) == len(set(order_list)) == dag.n
+        if not (distinct and all(map(range(dag.n).__contains__, order_list))):
             raise ValueError("order must be a permutation of the vertices")
         if order_list[0] != dag.source:
             raise ValueError("order must start at the source")
         self._order = order_list
-        self._position = [0] * dag.n
-        for pos, v in enumerate(order_list):
-            self._position[v] = pos
         self._free_positions = list(range(dag.n))  # ascending, already a heap
+        self._position = [0] * dag.n
+        for pos, v in zip(self._free_positions, order_list):
+            self._position[v] = pos
         self.counter = ComparisonCounter()
         self.occupied = 0
 

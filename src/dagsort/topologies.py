@@ -109,18 +109,26 @@ def build(t: Topology) -> LabeledDag:
     """
     _validate(t)
     n = capacity(t)
+    # successors are taken from ids: one int object per vertex id, not per entry
+    ids = list(range(n))
     if isinstance(t, Star):
-        nxt = [list(range(1, n))] + [[] for _ in range(n - 1)]
+        nxt = [ids[1:]] + [[] for _ in range(n - 1)]
     elif isinstance(t, Path):
-        nxt = [[v + 1] for v in range(n - 1)] + [[]]
+        nxt = [[v] for v in ids[1:]] + [[]]
     elif isinstance(t, YoungGrid):
         # row-major: the coordinate with stride side**i is v // side**i % side
         strides = [t.side**i for i in range(t.dims)]
         last = t.side - 1
-        nxt = [[v + s for s in strides if v // s % t.side < last] for v in range(n)]
+        nxt = [[ids[v + s] for s in strides if v // s % t.side < last] for v in ids]
     else:
-        bits = [1 << b for b in range(t.dims)]
-        nxt = [[u | bit for bit in bits if not u & bit] for u in range(n)]
+        # cube b+1 = cube b, each u gaining u + 2^b last, then cube b shifted by 2^b
+        nxt = [[]]
+        for b in range(t.dims):
+            shifted = ids[1 << b : 2 << b]
+            upper = [[shifted[w] for w in lst] for lst in nxt]
+            for lst, v in zip(nxt, shifted):
+                lst.append(v)
+            nxt += upper
     return LabeledDag.from_successors(nxt)
 
 
@@ -128,7 +136,7 @@ def bfs_order(g: LabeledDag) -> Iterator[int]:
     """Yield every vertex once, breadth-first from the source, expanding
     neighbours in ascending vertex order. Requires a single-source DAG.
     """
-    if sum(1 for p in g.prev_adj if not p) != 1:
+    if g.prev_adj.count([]) != 1:
         raise MultipleSourcesError("bfs_order requires a single-source DAG")
     seen = [False] * g.n
     seen[g.source] = True

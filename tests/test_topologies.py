@@ -24,6 +24,25 @@ from dagsort import (
 )
 from dagsort.demo import demo_dag
 
+BUILD_SPECS = [
+    "star:1",
+    "path:1",
+    "grid:0:3",
+    "grid:2:1",
+    "hypercube:0",
+    "star:2",
+    "star:17",
+    "path:2",
+    "path:33",
+    "grid:1:5",
+    "grid:3:4",
+    "grid:2:9",
+    "grid:4:3",
+    "hypercube:1",
+    "hypercube:6",
+    "hypercube:10",
+]
+
 
 def test_star_shape():
     g = build(Star(5))
@@ -37,33 +56,21 @@ def test_path_shape():
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "star:1",
-        "path:1",
-        "grid:0:3",
-        "grid:2:1",
-        "hypercube:0",
-        "star:2",
-        "star:17",
-        "path:2",
-        "path:33",
-        "grid:1:5",
-        "grid:3:4",
-        "grid:2:9",
-        "grid:4:3",
-        "hypercube:1",
-        "hypercube:6",
-        "hypercube:10",
-    ],
-)
+@pytest.mark.parametrize("spec", BUILD_SPECS)
 def test_build_equals_validated_build(spec):
     """The direct builders give exactly what the validating constructor
     makes of the same edges."""
     t = parse_topology(spec)
     g = build(t)
     assert g == LabeledDag.from_edges(capacity(t), list(g.edges()))
+
+
+@pytest.mark.parametrize("spec", BUILD_SPECS)
+def test_build_shares_one_int_per_vertex(spec):
+    """Successor entries naming the same vertex are one int object, so a
+    build costs no int object per adjacency entry."""
+    g = build(parse_topology(spec))
+    assert len({id(w) for lst in g.next_adj for w in lst}) < g.n
 
 
 def test_build_does_not_revalidate(monkeypatch):
