@@ -138,6 +138,32 @@ def test_parse_rejects_bad_specs(spec):
         parse_topology(spec)
 
 
+PARSE_FAULTS = [
+    ("star:0", ValueError, "star:0: need n >= 1"),
+    ("path:-1", ValueError, "path:-1: need n >= 1"),
+    ("grid:2", ValueError, "unrecognized topology spec 'grid:2'"),
+    ("grid:x:3", ValueError, "unrecognized topology spec 'grid:x:3'"),
+    ("grid:-1:3", ValueError, "grid:-1:3: need dims >= 0 and side >= 1"),
+    ("grid:2:0", ValueError, "grid:2:0: need dims >= 0 and side >= 1"),
+    ("hypercube", ValueError, "unrecognized topology spec 'hypercube'"),
+    ("hypercube:-1", ValueError, "hypercube:-1: need dims >= 0"),
+    ("ring:5", ValueError, "unrecognized topology spec 'ring:5'"),
+    ("star:a", ValueError, "unrecognized topology spec 'star:a'"),
+    ("star:1:2", ValueError, "unrecognized topology spec 'star:1:2'"),
+    ("", ValueError, "unrecognized topology spec ''"),
+    ("hypercube:40", OverflowError, "hypercube:40 exceeds 16777216 vertices"),
+    ("grid:8:10", OverflowError, "grid:8:10 exceeds 16777216 vertices"),
+]
+
+
+@pytest.mark.parametrize("spec, error, message", PARSE_FAULTS)
+def test_parse_fault_type_and_message(spec, error, message):
+    with pytest.raises(error) as info:
+        parse_topology(spec)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_build_refuses_huge_members():
     with pytest.raises(OverflowError):
         parse_topology("hypercube:40")
