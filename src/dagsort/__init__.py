@@ -10,7 +10,6 @@ from .analysis import (
     hypercube_worst_case_sum,
     log2_factorial,
     stats,
-    topology_stats,
 )
 from .dag import (
     INF,
@@ -56,9 +55,7 @@ from .topologies import (
     YoungGrid,
     bfs_order,
     build,
-    capacity,
     cardinality,
-    format_topology,
     hypercube_order,
     order_for,
     parse_topology,

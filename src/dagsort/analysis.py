@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from .dag import LabeledDag, topological_order
 from .errors import MultipleSourcesError
-from .topologies import Hypercube, Path, Star, Topology, YoungGrid, capacity
 
 
 @dataclass(frozen=True)
@@ -44,24 +43,6 @@ def stats(g: LabeledDag) -> DagStats:
         max_in_degree=max(len(p) for p in g.prev_adj),
         max_out_degree=max(len(p) for p in g.next_adj),
     )
-
-
-def topology_stats(t: Topology) -> DagStats:
-    """Closed-form stats for a family member; must match stats(build(t))."""
-    n = capacity(t)
-    if n == 1:
-        return DagStats(n=1, longest_path=0, max_in_degree=0, max_out_degree=0)
-    if isinstance(t, Star):
-        return DagStats(n=n, longest_path=1, max_in_degree=1, max_out_degree=n - 1)
-    if isinstance(t, Path):
-        return DagStats(n=n, longest_path=n - 1, max_in_degree=1, max_out_degree=1)
-    if isinstance(t, YoungGrid):
-        k = t.dims
-        return DagStats(
-            n=n, longest_path=k * (t.side - 1), max_in_degree=k, max_out_degree=k
-        )
-    k = t.dims
-    return DagStats(n=n, longest_path=k, max_in_degree=k, max_out_degree=k)
 
 
 def general_bound(s: DagStats) -> int:

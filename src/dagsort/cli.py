@@ -20,22 +20,13 @@ from .analysis import (
     general_bound,
     hypercube_worst_case_closed,
     stats,
-    topology_stats,
 )
 from .dag import INF, LabeledDag, format_label, parse_dag_text
 from .errors import CycleError, NotLoweringError, SizeMismatchError
 from .random_dags import random_ordered_labels, random_single_source_dag
 from .reorder import format_trace, lower_label, raise_label, raise_label_via_reversal
 from .sorting import dag_sort, hypercube_sort
-from .topologies import (
-    Hypercube,
-    Topology,
-    build,
-    capacity,
-    format_topology,
-    order_for,
-    parse_topology,
-)
+from .topologies import Hypercube, Topology, build, order_for, parse_topology
 from .tracefmt import dot_snapshots
 
 PATTERNS = ("random", "sorted", "reverse", "equal")
@@ -72,7 +63,7 @@ def cmd_sort(args) -> int:
             t = report.topology
         else:
             t = parse_topology(args.topology)
-            n = capacity(t)
+            n = t.capacity
             if len(values) != n:  # refuse before build allocates n vertices
                 raise SizeMismatchError(f"{len(values)} values for {n} vertices")
             g = build(t)
@@ -87,9 +78,9 @@ def cmd_sort(args) -> int:
     if report.output:
         print(" ".join(map(str, report.output)))
     # a bare hypercube may be only partly filled: bound the values actually sorted
-    bound = general_bound(replace(topology_stats(t), n=report.n_elements))
+    bound = general_bound(replace(t.stats(), n=report.n_elements))
     print(
-        f"n={report.n_elements} topology={format_topology(t)} "
+        f"n={report.n_elements} topology={t} "
         f"insert_cmp={report.insert_comparisons} "
         f"remove_cmp={report.remove_comparisons} "
         f"total={report.total_comparisons} bound={bound}",
@@ -130,8 +121,7 @@ def cmd_bench(args) -> int:
     for t in topologies:
         g = build(t)
         order = order_for(t, g)
-        s = stats(g)
-        bound = general_bound(s)
+        bound = general_bound(t.stats())
         formula = (
             str(hypercube_worst_case_closed(t.dims)) if isinstance(t, Hypercube) else ""
         )
@@ -139,7 +129,7 @@ def cmd_bench(args) -> int:
             values = make_pattern(pattern, g.n, random.Random(row_seed))
             report = dag_sort(g, values, order=order, topology=t)
             print(
-                f"{format_topology(t)},{g.n},{pattern},{row_seed},"
+                f"{t},{g.n},{pattern},{row_seed},"
                 f"{report.insert_comparisons},{report.remove_comparisons},"
                 f"{report.total_comparisons},{bound},{formula}"
             )
@@ -243,7 +233,7 @@ def _verify_raise_equivalence(seed: int, runs: int) -> bool:
 def _verify_entropy_bound(seed: int, runs: int) -> bool:
     rng = random.Random(seed)
     for spec in ("star:64", "path:64", "grid:2:8", "hypercube:6"):
-        if not entropy_bound_holds(topology_stats(parse_topology(spec))).ok:
+        if not entropy_bound_holds(parse_topology(spec).stats()).ok:
             return False
     for _ in range(runs):
         g = random_single_source_dag(rng, rng.randint(2, 128))

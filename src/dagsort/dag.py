@@ -67,9 +67,12 @@ class LabeledDag:
         """
         n = len(next_adj)
         prev: list[list[int]] = [[] for _ in range(n)]
-        # ascending u, so every prev list comes out ascending without a sort
-        for u, nxt in enumerate(next_adj):
+        # ascending u, so every prev list comes out ascending without a sort;
+        # zip reads ids[u] on reaching u, after any lower vertex naming u set it
+        ids = list(range(n))
+        for u, nxt in zip(ids, next_adj):
             for v in nxt:
+                ids[v] = v
                 prev[v].append(u)
         return cls(n=n, prev_adj=prev, next_adj=next_adj, labels=[INF] * n, source=0)
 

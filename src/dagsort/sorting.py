@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .dag import LabeledDag
 from .errors import SizeMismatchError
 from .pqueue import OrderedDagQueue
-from .topologies import Hypercube, Topology, build, capacity, hypercube_order
+from .topologies import Hypercube, Topology, build, hypercube_order
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,6 @@ def _queue_sort(g: LabeledDag, values: list, order, topology) -> SortReport:
 def worst_case_input(t: Topology, n: int) -> list[int]:
     """The strictly decreasing input n, n-1, ..., 1: every insert is a new
     minimum and sifts the full distance to the source."""
-    if capacity(t) != n:
-        raise ValueError(f"n={n} does not fill {t!r} (capacity {capacity(t)})")
+    if t.capacity != n:
+        raise ValueError(f"n={n} does not fill {t!r} (capacity {t.capacity})")
     return list(range(n, 0, -1))

@@ -6,130 +6,154 @@ grid:K:S    K-dimensional grid over [0, S)^K, edges increment one coordinate
             (the Young-tableau shape)
 hypercube:K subsets of a K-element universe ordered by single-bit insertion
 
+Each family is one ``Topology`` subclass that owns its shape: ``str(t)`` is
+its spec, ``t.capacity`` its vertex count, ``t.stats()`` its closed-form
+``DagStats``. A member checks its parameters when it is made (``ValueError``
+out of range, ``OverflowError`` above ``MAX_VERTICES``), so each can be built.
+
 Every family is graded: each edge moves exactly one BFS layer away from the
 source, so layer order equals distance order.
-
-Each family is built by construction: ``build`` writes its successor lists
-directly, ascending and acyclic with vertex 0 as the only source, and hands
-them to ``LabeledDag.from_successors``. Nothing is re-validated; the
-validating ``LabeledDag.from_edges`` is kept for DAGs from outside.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import ClassVar, Iterator
 
+from .analysis import DagStats
 from .dag import MAX_VERTICES, LabeledDag
 from .errors import MultipleSourcesError
 
 
+class Topology:
+    """A family member: a frozen dataclass whose fields are the spec's
+    parameters, each at least its entry in ``least``. A family defines
+    ``kind``, ``capacity``, ``successors(ids)`` (ascending out-neighbour
+    lists, vertex 0 the only source, entries taken from ``ids``) and
+    ``_path_and_degrees()`` (L, max in- and out-degree for n >= 2)."""
+
+    kind: ClassVar[str]
+    least: ClassVar[tuple[int, ...]]
+
+    def __post_init__(self) -> None:
+        params = vars(self)
+        if any(value < low for value, low in zip(params.values(), self.least)):
+            need = " and ".join(f"{p} >= {low}" for p, low in zip(params, self.least))
+            raise ValueError(f"{self}: need {need}")
+        if self.capacity > MAX_VERTICES:
+            raise OverflowError(f"{self} exceeds {MAX_VERTICES} vertices")
+
+    def __str__(self) -> str:
+        return ":".join([self.kind, *map(str, vars(self).values())])
+
+    def stats(self) -> DagStats:
+        """Closed-form stats; equal to ``analysis.stats(build(self))``."""
+        if self.capacity == 1:
+            return DagStats(n=1, longest_path=0, max_in_degree=0, max_out_degree=0)
+        return DagStats(self.capacity, *self._path_and_degrees())
+
+
 @dataclass(frozen=True)
-class Star:
+class Star(Topology):
     n: int
+    kind, least = "star", (1,)
+
+    @property
+    def capacity(self) -> int:
+        return self.n
+
+    def successors(self, ids: list[int]) -> list[list[int]]:
+        return [ids[1:]] + [[] for _ in range(self.n - 1)]
+
+    def _path_and_degrees(self) -> tuple[int, int, int]:
+        return 1, 1, self.n - 1
 
 
 @dataclass(frozen=True)
-class Path:
+class Path(Topology):
     n: int
+    kind, least = "path", (1,)
+
+    @property
+    def capacity(self) -> int:
+        return self.n
+
+    def successors(self, ids: list[int]) -> list[list[int]]:
+        return [[v] for v in ids[1:]] + [[]]
+
+    def _path_and_degrees(self) -> tuple[int, int, int]:
+        return self.n - 1, 1, 1
 
 
 @dataclass(frozen=True)
-class YoungGrid:
+class YoungGrid(Topology):
     dims: int
     side: int
+    kind, least = "grid", (0, 1)
+
+    @property
+    def capacity(self) -> int:
+        return self.side**self.dims
+
+    def successors(self, ids: list[int]) -> list[list[int]]:
+        # row-major: the coordinate with stride side**i is v // side**i % side
+        side, last = self.side, self.side - 1
+        strides = [side**i for i in range(self.dims)]
+        return [[ids[v + s] for s in strides if v // s % side < last] for v in ids]
+
+    def _path_and_degrees(self) -> tuple[int, int, int]:
+        return self.dims * (self.side - 1), self.dims, self.dims
 
 
 @dataclass(frozen=True)
-class Hypercube:
+class Hypercube(Topology):
     dims: int
+    kind, least = "hypercube", (0,)
 
+    @property
+    def capacity(self) -> int:
+        return 1 << self.dims
 
-Topology = Union[Star, Path, YoungGrid, Hypercube]
-
-
-def parse_topology(spec: str) -> Topology:
-    """Parse "star:N", "path:N", "grid:K:S" or "hypercube:K"."""
-    parts = spec.split(":")
-    kind = parts[0]
-    try:
-        if kind == "star" and len(parts) == 2:
-            t: Topology = Star(int(parts[1]))
-        elif kind == "path" and len(parts) == 2:
-            t = Path(int(parts[1]))
-        elif kind == "grid" and len(parts) == 3:
-            t = YoungGrid(int(parts[1]), int(parts[2]))
-        elif kind == "hypercube" and len(parts) == 2:
-            t = Hypercube(int(parts[1]))
-        else:
-            raise ValueError(f"unrecognized topology spec {spec!r}")
-    except ValueError as exc:
-        raise ValueError(f"unrecognized topology spec {spec!r}") from exc
-    _validate(t)
-    return t
-
-
-def format_topology(t: Topology) -> str:
-    if isinstance(t, Star):
-        return f"star:{t.n}"
-    if isinstance(t, Path):
-        return f"path:{t.n}"
-    if isinstance(t, YoungGrid):
-        return f"grid:{t.dims}:{t.side}"
-    return f"hypercube:{t.dims}"
-
-
-def _validate(t: Topology) -> None:
-    if isinstance(t, (Star, Path)):
-        if t.n < 1:
-            raise ValueError(f"{format_topology(t)}: need n >= 1")
-    elif isinstance(t, YoungGrid):
-        if t.dims < 0 or t.side < 1:
-            raise ValueError(f"{format_topology(t)}: need dims >= 0 and side >= 1")
-    elif t.dims < 0:
-        raise ValueError(f"{format_topology(t)}: need dims >= 0")
-    if capacity(t) > MAX_VERTICES:
-        raise OverflowError(f"{format_topology(t)} exceeds {MAX_VERTICES} vertices")
-
-
-def capacity(t: Topology) -> int:
-    """Number of vertices the built DAG will have."""
-    if isinstance(t, (Star, Path)):
-        return t.n
-    if isinstance(t, YoungGrid):
-        return t.side**t.dims
-    return 1 << t.dims
-
-
-def build(t: Topology) -> LabeledDag:
-    """Construct the family member with every label at INF, straight from
-    its successor lists: they hold by construction what ``from_edges``
-    would check, so no edge list is made and nothing is re-validated.
-    """
-    _validate(t)
-    n = capacity(t)
-    # successors are taken from ids: one int object per vertex id, not per entry
-    ids = list(range(n))
-    if isinstance(t, Star):
-        nxt = [ids[1:]] + [[] for _ in range(n - 1)]
-    elif isinstance(t, Path):
-        nxt = [[v] for v in ids[1:]] + [[]]
-    elif isinstance(t, YoungGrid):
-        # row-major: the coordinate with stride side**i is v // side**i % side
-        strides = [t.side**i for i in range(t.dims)]
-        last = t.side - 1
-        nxt = [[ids[v + s] for s in strides if v // s % t.side < last] for v in ids]
-    else:
+    def successors(self, ids: list[int]) -> list[list[int]]:
         # cube b+1 = cube b, each u gaining u + 2^b last, then cube b shifted by 2^b
-        nxt = [[]]
-        for b in range(t.dims):
+        nxt: list[list[int]] = [[]]
+        for b in range(self.dims):
             shifted = ids[1 << b : 2 << b]
             upper = [[shifted[w] for w in lst] for lst in nxt]
             for lst, v in zip(nxt, shifted):
                 lst.append(v)
             nxt += upper
-    return LabeledDag.from_successors(nxt)
+        return nxt
+
+    def _path_and_degrees(self) -> tuple[int, int, int]:
+        return self.dims, self.dims, self.dims
+
+
+FAMILIES = {cls.kind: cls for cls in (Star, Path, YoungGrid, Hypercube)}
+
+
+def parse_topology(spec: str) -> Topology:
+    """Parse "star:N", "path:N", "grid:K:S" or "hypercube:K"."""
+    kind, *params = spec.split(":")
+    cls = FAMILIES.get(kind)
+    try:
+        if cls is None or len(params) != len(cls.least):
+            raise ValueError
+        args = list(map(int, params))
+    except ValueError as exc:
+        raise ValueError(f"unrecognized topology spec {spec!r}") from exc
+    return cls(*args)
+
+
+def build(t: Topology) -> LabeledDag:
+    """Construct the family member with every label at INF, straight from
+    its successor lists: they hold by construction what ``from_edges``
+    would check, so no edge list is made and nothing is re-validated
+    (``from_edges`` is kept for DAGs from outside).
+    """
+    # successors are taken from ids: one int object per vertex id, not per entry
+    return LabeledDag.from_successors(t.successors(list(range(t.capacity))))
 
 
 def bfs_order(g: LabeledDag) -> Iterator[int]:

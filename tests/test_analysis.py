@@ -20,7 +20,6 @@ from dagsort import (
     hypercube_worst_case_sum,
     log2_factorial,
     stats,
-    topology_stats,
 )
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_single_source_dag
@@ -51,7 +50,7 @@ def test_topology_stats_matches_built_graphs():
     members += [YoungGrid(0, 4), YoungGrid(1, 5), YoungGrid(2, 1), YoungGrid(2, 4), YoungGrid(3, 3)]
     members += [Hypercube(0), Hypercube(1), Hypercube(4), Hypercube(7)]
     for t in members:
-        assert topology_stats(t) == stats(build(t)), t
+        assert t.stats() == stats(build(t)), t
 
 
 def test_general_bound_examples():

@@ -1,6 +1,7 @@
 """The benchmark under ``perfbench/`` times dagsort by replacing functions
-by name (``cli.parse_dag_text``, ``cli.dot_snapshots``,
-``LabeledDag.from_edges``, ...). This runs its traced ``trace-render`` and
+by name (``cli.build``, ``cli.order_for``, ``cli.dag_sort``,
+``cli.parse_dag_text``, ``cli.dot_snapshots``, ``LabeledDag.from_edges``,
+...). This runs its traced ``hypercube-subset``, ``trace-render`` and
 ``queue-churn`` workloads on tiny inputs and checks that each named layer
 was still reached, so a rename or a bypass shows up here and not first as a
 zero in a benchmark table.
@@ -28,6 +29,12 @@ print(json.dumps(run.run_workload(sys.argv[3], 1, 0, True, tiny=True)))
 
 # layers each workload must reach, by the benchmark's metric names
 LAYERS = {
+    "hypercube-subset": (
+        "topologies.build_s",
+        "topologies.order_s",
+        "sorting.dag_sort_self_s",
+        "pqueue.init_s",
+    ),
     "trace-render": ("dag.parse_s", "tracefmt.render_s", "tracefmt.snapshots"),
     "queue-churn": ("dag.from_edges_s",),
 }

@@ -11,7 +11,6 @@ from dagsort import (
     INF,
     EmptyQueueError,
     FullQueueError,
-    Hypercube,
     LabeledDag,
     MultipleSourcesError,
     NonFiniteLabelError,
@@ -24,8 +23,8 @@ from dagsort import (
     Star,
     YoungGrid,
     build,
-    hypercube_order,
     lower_label,
+    order_for,
     parse_topology,
 )
 from dagsort.demo import demo_dag
@@ -39,8 +38,7 @@ FAMILIES = ("star:8", "path:8", "grid:2:3", "hypercube:3")
 def fresh_queue(spec):
     t = parse_topology(spec)
     g = build(t)
-    order = hypercube_order(t.dims) if isinstance(t, Hypercube) else None
-    return OrderedDagQueue(g, order=order)
+    return OrderedDagQueue(g, order=order_for(t, g))
 
 
 def test_create_requires_single_source_and_fresh_labels():
@@ -262,8 +260,7 @@ def test_interface_algebra_against_multiset_oracle():
     for round_no in range(10_000):
         t = specs[round_no % len(specs)]
         g = build(t)
-        order = hypercube_order(t.dims) if isinstance(t, Hypercube) else None
-        q = OrderedDagQueue(g, order=order)
+        q = OrderedDagQueue(g, order=order_for(t, g))
         oracle: list[int] = []
         for _ in range(12):
             op = rng.random()

@@ -11,7 +11,6 @@ from dagsort import (
     Star,
     YoungGrid,
     build,
-    capacity,
     dag_sort,
     general_bound,
     hypercube_sort,
@@ -110,7 +109,7 @@ def test_random_arrays_match_reference_sort():
     ]
     for _ in range(120):
         t = rng.choice(makers)(rng.randint(1, 40))
-        n = capacity(t)
+        n = t.capacity
         values = [rng.randint(-30, 30) for _ in range(n)]
         assert run(t, values).output == sorted(values)
     for _ in range(60):

@@ -15,9 +15,7 @@ from dagsort import (
     YoungGrid,
     bfs_order,
     build,
-    capacity,
     cardinality,
-    format_topology,
     hypercube_order,
     order_for,
     parse_topology,
@@ -62,15 +60,16 @@ def test_build_equals_validated_build(spec):
     makes of the same edges."""
     t = parse_topology(spec)
     g = build(t)
-    assert g == LabeledDag.from_edges(capacity(t), list(g.edges()))
+    assert g == LabeledDag.from_edges(t.capacity, list(g.edges()))
 
 
 @pytest.mark.parametrize("spec", BUILD_SPECS)
 def test_build_shares_one_int_per_vertex(spec):
-    """Successor entries naming the same vertex are one int object, so a
-    build costs no int object per adjacency entry."""
+    """Adjacency entries naming the same vertex, in successor and
+    predecessor lists alike, are one int object, so a build costs no int
+    object per adjacency entry."""
     g = build(parse_topology(spec))
-    assert len({id(w) for lst in g.next_adj for w in lst}) < g.n
+    assert len({id(w) for lst in g.next_adj + g.prev_adj for w in lst}) <= g.n
 
 
 def test_build_does_not_revalidate(monkeypatch):
@@ -85,7 +84,7 @@ def test_build_does_not_revalidate(monkeypatch):
 def test_single_vertex_members():
     for t in (Star(1), Path(1), YoungGrid(0, 3), YoungGrid(2, 1), Hypercube(0)):
         g = build(t)
-        assert g.n == 1 and g.edge_count == 0 and capacity(t) == 1
+        assert g.n == 1 and g.edge_count == 0 and t.capacity == 1
 
 
 def test_grid_shape():
@@ -127,7 +126,7 @@ def test_hypercube_degrees_match_cardinality():
 
 def test_parse_and_format_round_trip():
     for spec in ("star:5", "path:9", "grid:2:3", "hypercube:4"):
-        assert format_topology(parse_topology(spec)) == spec
+        assert str(parse_topology(spec)) == spec
 
 
 @pytest.mark.parametrize(
@@ -162,6 +161,15 @@ def test_parse_fault_type_and_message(spec, error, message):
         parse_topology(spec)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_members_check_their_parameters_when_made():
+    with pytest.raises(ValueError, match=r"^star:0: need n >= 1$"):
+        Star(0)
+    with pytest.raises(ValueError, match=r"^grid:2:0: need dims >= 0 and side >= 1$"):
+        YoungGrid(2, 0)
+    with pytest.raises(OverflowError, match=r"^grid:8:10 exceeds 16777216 vertices$"):
+        YoungGrid(8, 10)
 
 
 def test_build_refuses_huge_members():
