@@ -31,7 +31,6 @@ from .errors import (
     NonFiniteLabelError,
     NotAllInfinityError,
     NotLoweringError,
-    NotOrderedError,
     NotRaisingError,
     RaiseToInfinityError,
     SizeMismatchError,
@@ -55,7 +54,6 @@ from .topologies import (
     YoungGrid,
     bfs_order,
     build,
-    cardinality,
     hypercube_order,
     order_for,
     parse_topology,

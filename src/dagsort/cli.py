@@ -78,9 +78,9 @@ def cmd_sort(args) -> int:
     if report.output:
         print(" ".join(map(str, report.output)))
     # a bare hypercube may be only partly filled: bound the values actually sorted
-    bound = general_bound(replace(t.stats(), n=report.n_elements))
+    bound = general_bound(replace(t.stats(), n=len(report.output)))
     print(
-        f"n={report.n_elements} topology={t} "
+        f"n={len(report.output)} topology={t} "
         f"insert_cmp={report.insert_comparisons} "
         f"remove_cmp={report.remove_comparisons} "
         f"total={report.total_comparisons} bound={bound}",

@@ -24,7 +24,8 @@ Label = int | float
 
 # Topology builds and parsed DAG text beyond this vertex count are refused
 # outright, before anything of that size is allocated.
-MAX_VERTICES = 1 << 24
+MAX_DIMS = 24  # any base of 2 or more raised past MAX_DIMS exceeds the cap
+MAX_VERTICES = 1 << MAX_DIMS
 
 
 def is_finite_label(value: object) -> bool:

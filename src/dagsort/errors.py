@@ -21,10 +21,6 @@ class NotRaisingError(DagSortError):
     """The new label is not strictly above the current one."""
 
 
-class NotOrderedError(DagSortError):
-    """A sift was started on a DAG that is not ordered."""
-
-
 class EmptyQueueError(DagSortError):
     """The queue holds no finite labels."""
 

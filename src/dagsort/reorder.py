@@ -13,8 +13,10 @@ sifted label visits, from the starting vertex to where it settles) and
 ``moved`` (the label each exchange displaced), one append to each per swap.
 Everything in the package reads those two lists: the queue and the sort
 drivers only the terminal vertex, ``format_trace``, the DOT renderer and the
-``golden-trace`` verify suite the whole walk. ``ExchangeStep`` tuples are
-built only when a caller outside the package reads ``ExchangeTrace.steps``.
+``golden-trace`` verify suite the whole walk. The two lists fix every
+intermediate state of the sift; a caller that wants those states replays
+them from the pre-sift labels. ``ExchangeStep`` tuples are built only when
+a caller outside the package reads ``ExchangeTrace.steps``.
 
 Cost model: selecting among a vertex's m previous (or next) neighbours costs
 exactly m label comparisons when m >= 1 (m - 1 to find the extreme neighbour
@@ -24,10 +26,10 @@ counter once, when it ends. Every count in the package is in these units.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 from .dag import Label, LabeledDag, format_label
-from .errors import NotLoweringError, NotOrderedError, NotRaisingError
+from .errors import NotLoweringError, NotRaisingError
 
 
 class ComparisonCounter:
@@ -91,9 +93,6 @@ class ExchangeTrace:
         return f"ExchangeTrace(path={self.path!r}, moved={self.moved!r})"
 
 
-IterationHook = Optional[Callable[[LabeledDag, int], None]]
-
-
 def format_trace(trace: ExchangeTrace) -> str:
     """Serialize a trace, one ``swap u v label=x`` line per exchange."""
     path = trace.path
@@ -108,21 +107,15 @@ def lower_label(
     v: int,
     new_label: Label,
     counter: ComparisonCounter | None = None,
-    *,
-    iteration_hook: IterationHook = None,
-    check_ordered: bool = False,
 ) -> ExchangeTrace:
     """Replace labels[v] with a strictly smaller value and sift it toward the
     source until no previous neighbour violates the ordered property.
 
     Each step swaps with the previous neighbour holding the largest label,
     ties broken toward the smallest vertex id, while that label exceeds the
-    sifted one. Requires an ordered g on entry (validated only when
-    ``check_ordered`` is set, the scan is O(edges)); leaves g ordered with
-    the same label multiset except for the one replacement.
-    ``iteration_hook``, when given, is called with (g, current_vertex) at the
-    end of every loop iteration; it exists for instrumented tests and costs
-    nothing otherwise.
+    sifted one. Requires an ordered g on entry (not checked: the scan is
+    O(edges)); leaves g ordered with the same label multiset except for the
+    one replacement.
     """
     if not 0 <= v < g.n:
         raise IndexError(f"vertex {v} out of range")
@@ -130,8 +123,6 @@ def lower_label(
         raise NotLoweringError(
             f"new label {new_label!r} does not lower {g.labels[v]!r} at vertex {v}"
         )
-    if check_ordered and not g.is_ordered():
-        raise NotOrderedError("lower_label requires an ordered DAG")
 
     labels = g.labels
     prev_adj = g.prev_adj
@@ -159,10 +150,6 @@ def lower_label(
         path.append(u)
         moved.append(displaced)
         current = u
-        if iteration_hook is not None:
-            iteration_hook(g, current)
-    if iteration_hook is not None:
-        iteration_hook(g, current)
     if counter is not None:
         counter.count += comparisons
     return ExchangeTrace(path, moved)
@@ -173,9 +160,6 @@ def raise_label(
     v: int,
     new_label: Label,
     counter: ComparisonCounter | None = None,
-    *,
-    iteration_hook: IterationHook = None,
-    check_ordered: bool = False,
 ) -> ExchangeTrace:
     """Replace labels[v] with a strictly larger value (INF allowed) and sift
     it toward the sinks, swapping with the smallest violating next neighbour.
@@ -187,8 +171,6 @@ def raise_label(
         raise NotRaisingError(
             f"new label {new_label!r} does not raise {g.labels[v]!r} at vertex {v}"
         )
-    if check_ordered and not g.is_ordered():
-        raise NotOrderedError("raise_label requires an ordered DAG")
 
     labels = g.labels
     next_adj = g.next_adj
@@ -214,10 +196,6 @@ def raise_label(
         path.append(u)
         moved.append(displaced)
         current = u
-        if iteration_hook is not None:
-            iteration_hook(g, current)
-    if iteration_hook is not None:
-        iteration_hook(g, current)
     if counter is not None:
         counter.count += comparisons
     return ExchangeTrace(path, moved)

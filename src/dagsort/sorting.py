@@ -24,7 +24,6 @@ class SortReport:
     insert_comparisons: int
     remove_comparisons: int
     topology: Topology | None
-    n_elements: int
 
     @property
     def total_comparisons(self) -> int:
@@ -74,13 +73,10 @@ def _queue_sort(g: LabeledDag, values: list, order, topology) -> SortReport:
         insert_comparisons=insert_comparisons,
         remove_comparisons=queue.counter.count - insert_comparisons,
         topology=topology,
-        n_elements=len(values),
     )
 
 
-def worst_case_input(t: Topology, n: int) -> list[int]:
-    """The strictly decreasing input n, n-1, ..., 1: every insert is a new
-    minimum and sifts the full distance to the source."""
-    if t.capacity != n:
-        raise ValueError(f"n={n} does not fill {t!r} (capacity {t.capacity})")
-    return list(range(n, 0, -1))
+def worst_case_input(t: Topology) -> list[int]:
+    """The strictly decreasing input n, n-1, ..., 1 that fills t: every
+    insert is a new minimum and sifts the full distance to the source."""
+    return list(range(t.capacity, 0, -1))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 from .analysis import DagStats
-from .dag import MAX_VERTICES, LabeledDag
+from .dag import MAX_DIMS, MAX_VERTICES, LabeledDag
 from .errors import MultipleSourcesError
 
 
@@ -41,8 +41,11 @@ class Topology:
         if any(value < low for value, low in zip(params.values(), self.least)):
             need = " and ".join(f"{p} >= {low}" for p, low in zip(params, self.least))
             raise ValueError(f"{self}: need {need}")
-        if self.capacity > MAX_VERTICES:
+        if self._over_cap():
             raise OverflowError(f"{self} exceeds {MAX_VERTICES} vertices")
+
+    def _over_cap(self) -> bool:
+        return self.capacity > MAX_VERTICES
 
     def __str__(self) -> str:
         return ":".join([self.kind, *map(str, vars(self).values())])
@@ -97,13 +100,18 @@ class YoungGrid(Topology):
         return self.side**self.dims
 
     def successors(self, ids: list[int]) -> list[list[int]]:
-        # row-major: the coordinate with stride side**i is v // side**i % side
+        # row-major: the coordinate with stride side**i is v // side**i % side;
+        # side 1 is one vertex and needs no strides, whatever dims is
         side, last = self.side, self.side - 1
-        strides = [side**i for i in range(self.dims)]
+        strides = [side**i for i in range(self.dims if side > 1 else 0)]
         return [[ids[v + s] for s in strides if v // s % side < last] for v in ids]
 
     def _path_and_degrees(self) -> tuple[int, int, int]:
         return self.dims * (self.side - 1), self.dims, self.dims
+
+    def _over_cap(self) -> bool:
+        # side**dims is not made when dims alone puts it past the cap
+        return self.side > 1 and (self.dims > MAX_DIMS or self.capacity > MAX_VERTICES)
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,9 @@ class Hypercube(Topology):
 
     def _path_and_degrees(self) -> tuple[int, int, int]:
         return self.dims, self.dims, self.dims
+
+    def _over_cap(self) -> bool:
+        return self.dims > MAX_DIMS
 
 
 FAMILIES = {cls.kind: cls for cls in (Star, Path, YoungGrid, Hypercube)}
@@ -172,11 +183,6 @@ def bfs_order(g: LabeledDag) -> Iterator[int]:
             if not seen[v]:
                 seen[v] = True
                 queue.append(v)
-
-
-def cardinality(v: int) -> int:
-    """Popcount: how many elements the bitmask vertex contains."""
-    return v.bit_count()
 
 
 def hypercube_order(dims: int) -> list[int]:

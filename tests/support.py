@@ -7,6 +7,7 @@ The oracles are deliberately written differently from the production code
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
@@ -47,22 +48,38 @@ def _oracle_snapshot(g, labels, index, current, target) -> str:
     return "\n".join(lines) + "\n"
 
 
-def oracle_dot_snapshots(g, labels_before, vertex, new_label, trace) -> list[str]:
-    """Full re-render of every snapshot from the trace's exchange steps: the
-    reference that the incremental ``tracefmt.dot_snapshots`` must match."""
+def replay_states(g: LabeledDag, labels_before, v, new_label, trace):
+    """Yield ``(state, current)`` for every state of a sift, rebuilt from
+    ``trace.path`` and ``trace.moved`` alone: the state just after labels[v]
+    became ``new_label``, then the state after each exchange. ``state``
+    shares g's adjacency and holds the replayed labels, updated in place
+    between yields; ``current`` is the vertex holding the sifted label.
+
+    Each exchange swaps the labels at its two path vertices and checks that
+    the label it displaced is the one ``moved`` records. A caller that finds
+    the last state's labels equal to g's after the sift has therefore seen
+    the states the sift passed through."""
     labels = list(labels_before)
-    labels[vertex] = new_label
-    steps = trace.steps
-    first_target = steps[0].to_vertex if steps else None
-    snapshots = [_oracle_snapshot(g, labels, 0, vertex, first_target)]
-    for i, step in enumerate(steps):
-        labels[step.from_vertex], labels[step.to_vertex] = (
-            step.moved_label,
-            labels[step.from_vertex],
+    labels[v] = new_label
+    state = replace(g, labels=labels)
+    path = trace.path
+    yield state, path[0]
+    for at, to, displaced in zip(path, path[1:], trace.moved):
+        assert labels[to] == displaced, (to, labels[to], displaced)
+        labels[at], labels[to] = displaced, labels[at]
+        yield state, to
+
+
+def oracle_dot_snapshots(g, labels_before, vertex, new_label, trace) -> list[str]:
+    """Full re-render of every replayed state: the reference that the
+    incremental ``tracefmt.dot_snapshots`` must match."""
+    targets = trace.path[1:] + [None]
+    return [
+        _oracle_snapshot(g, state.labels, i, current, targets[i])
+        for i, (state, current) in enumerate(
+            replay_states(g, labels_before, vertex, new_label, trace)
         )
-        nxt = steps[i + 1].to_vertex if i + 1 < len(steps) else None
-        snapshots.append(_oracle_snapshot(g, labels, i + 1, step.to_vertex, nxt))
-    return snapshots
+    ]
 
 
 def longest_path_ending_at(g: LabeledDag) -> list[int]:

@@ -34,9 +34,9 @@ from dagsort import (
 )
 from dagsort.cli import make_pattern
 from dagsort.random_dags import random_ordered_labels, random_single_source_dag
-from dagsort.topologies import cardinality, hypercube_order, order_for
+from dagsort.topologies import hypercube_order, order_for
 
-from support import longest_path_ending_at, longest_path_starting_at
+from support import longest_path_ending_at, longest_path_starting_at, replay_states
 
 DEMO_FIXTURE = str(FilePath(__file__).resolve().parent.parent / "fixtures" / "demo12.dag")
 
@@ -58,11 +58,10 @@ def test_1_exact_worst_case():
     ok = True
     for k in range(1, 15):
         t = Hypercube(k)
-        n = 1 << k
         closed = hypercube_worst_case_closed(k)
         summed = hypercube_worst_case_sum(k)
         g = build(t)
-        rep = dag_sort(g, worst_case_input(t, n), order=hypercube_order(k), topology=t)
+        rep = dag_sort(g, worst_case_input(t), order=hypercube_order(k), topology=t)
         if not (closed == summed == rep.insert_comparisons):
             ok = False
             break
@@ -196,7 +195,7 @@ def test_4_sorting_oracle():
 
 def test_5_sift_property_suite():
     rng = random.Random(52)
-    ops = hook_checks = 0
+    ops = state_checks = 0
     ok_ordered = ok_multiset = ok_steps = ok_invariant = True
     while ops < 10_000:
         g = random_single_source_dag(rng, rng.randint(1, 64))
@@ -209,32 +208,31 @@ def test_5_sift_property_suite():
             v = rng.randrange(g.n)
             old = g.labels[v]
             lowering = old == INF or rng.random() < 0.55
-            before = Counter(g.labels)
-
-            hook = None
-            if ops % 3 == 0:
-                # both halves of the loop invariant, sampled mid-iteration
-                def hook(graph, current, lowering=lowering):
-                    nonlocal hook_checks, ok_invariant
-                    hook_checks += 1
-                    bad = graph.bad_edges()
-                    ends_ok = all((e[1] if lowering else e[0]) == current for e in bad)
-                    ps = [graph.labels[p] for p in graph.prev_adj[current]]
-                    ns = [graph.labels[x] for x in graph.next_adj[current]]
-                    pn_ok = not ps or not ns or max(ps) <= min(ns)
-                    if not (ends_ok and pn_ok):
-                        ok_invariant = False
-
+            labels_before = list(g.labels)
+            before = Counter(labels_before)
             if lowering:
                 new = rng.randint(-50, 50) if old == INF else old - rng.randint(1, 12)
-                trace = lower_label(g, v, new, iteration_hook=hook)
+                trace = lower_label(g, v, new)
                 if len(trace.steps) > to_source[v]:
                     ok_steps = False
             else:
                 new = old + rng.randint(1, 12)
-                trace = raise_label(g, v, new, iteration_hook=hook)
+                trace = raise_label(g, v, new)
                 if len(trace.steps) > to_sinks[v]:
                     ok_steps = False
+            if ops % 3 == 0:
+                # both halves of the loop invariant, at every state of the sift
+                for state, current in replay_states(g, labels_before, v, new, trace):
+                    state_checks += 1
+                    bad = state.bad_edges()
+                    ends_ok = all((e[1] if lowering else e[0]) == current for e in bad)
+                    ps = [state.labels[p] for p in state.prev_adj[current]]
+                    ns = [state.labels[x] for x in state.next_adj[current]]
+                    pn_ok = not ps or not ns or max(ps) <= min(ns)
+                    if not (ends_ok and pn_ok):
+                        ok_invariant = False
+                if state.labels != g.labels:
+                    ok_invariant = False
             if len(trace.steps) > longest:
                 ok_steps = False
             if not g.is_ordered():
@@ -249,9 +247,9 @@ def test_5_sift_property_suite():
         and ok_steps
         and ok_invariant
         and ops == 10_000
-        and hook_checks >= 1000
+        and state_checks >= 1000
     )
-    _report(5, "sift-invariants", ok, f"{ops} ops, {hook_checks} hooked iterations")
+    _report(5, "sift-invariants", ok, f"{ops} ops, {state_checks} replayed states")
 
 
 def test_6_raise_reversal_equivalence():
@@ -302,14 +300,14 @@ def test_8_hypercube_structure():
         g = build(Hypercube(k))
         layers = Counter()
         for u in range(g.n):
-            m = cardinality(u)
+            m = u.bit_count()
             layers[m] += 1
             if len(g.prev_adj[u]) != m or len(g.next_adj[u]) != k - m:
                 ok = False
             # every edge raises the popcount by one, so every source-to-u
             # path has exactly popcount(u) edges
             for w in g.next_adj[u]:
-                if cardinality(w) != m + 1:
+                if w.bit_count() != m + 1:
                     ok = False
         if any(layers[m] != math.comb(k, m) for m in range(k + 1)):
             ok = False
@@ -324,7 +322,7 @@ def test_8_hypercube_structure():
                         dist[w] = dist[u] + 1
                         nxt.append(w)
             frontier = nxt
-        if any(dist[u] != cardinality(u) for u in range(g.n)):
+        if any(dist[u] != u.bit_count() for u in range(g.n)):
             ok = False
     _report(8, "hypercube-structure", ok, "k <= 12: degrees, layers, distances")
 

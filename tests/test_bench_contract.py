@@ -1,10 +1,11 @@
 """The benchmark under ``perfbench/`` times dagsort by replacing functions
 by name (``cli.build``, ``cli.order_for``, ``cli.dag_sort``,
 ``cli.parse_dag_text``, ``cli.dot_snapshots``, ``LabeledDag.from_edges``,
-...). This runs its traced ``hypercube-subset``, ``trace-render`` and
-``queue-churn`` workloads on tiny inputs and checks that each named layer
-was still reached, so a rename or a bypass shows up here and not first as a
-zero in a benchmark table.
+the sift kernels ``pqueue.lower_label`` and ``pqueue.raise_label``, the
+queue's ``lower_label_at`` and ``raise_label_at``, ...). This runs each of
+its four traced workloads on tiny inputs and checks that each named layer
+was still reached, so a rename, a changed signature or a bypass shows up
+here and not first as a zero in a benchmark table.
 
 The workloads run in a child process: ``perfbench/run.py`` drops and
 re-imports the ``dagsort`` package, which would leave this test session
@@ -35,8 +36,21 @@ LAYERS = {
         "sorting.dag_sort_self_s",
         "pqueue.init_s",
     ),
+    "path-insertion": (
+        "reorder.lower_s",
+        "reorder.raise_s",
+        "reorder.exchanges",
+        "sorting.dag_sort_self_s",
+    ),
     "trace-render": ("dag.parse_s", "tracefmt.render_s", "tracefmt.snapshots"),
-    "queue-churn": ("dag.from_edges_s",),
+    "queue-churn": (
+        "dag.from_edges_s",
+        "reorder.lower_s",
+        "reorder.raise_s",
+        "pqueue.inf_moves",
+        "pqueue.lower_at_self_s",
+        "pqueue.raise_at_self_s",
+    ),
 }
 
 

@@ -2,6 +2,7 @@
 
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from dagsort import (
     ExchangeStep,
     LabeledDag,
     NotLoweringError,
-    NotOrderedError,
     NotRaisingError,
     OrderedDagQueue,
     Path,
@@ -37,6 +37,7 @@ from support import (
     oracle_largest_violating,
     oracle_smallest_violating_next,
     ordered_dags,
+    replay_states,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -105,15 +106,42 @@ def test_selectors_match_oracle(g, data):
     else:
         new = INF if data.draw(st.booleans()) else old + data.draw(st.integers(1, 30))
         sift, oracle, adj = raise_label, oracle_smallest_violating_next, g.next_adj
-    probe = g.copy()
-    probe.labels[v] = new
-    picks = [oracle(probe, v)]
+    labels_before = list(g.labels)
     c = ComparisonCounter()
-    trace = sift(g, v, new, c, iteration_hook=lambda h, at: picks.append(oracle(h, at)))
-    # the hook runs after every swap and once more at the exit check
-    assert picks == [s.to_vertex for s in trace.steps] + [None, None]
+    trace = sift(g, v, new, c)
+    picks = []
+    for state, at in replay_states(g, labels_before, v, new, trace):
+        picks.append(oracle(state, at))
+    assert state.labels == g.labels
+    # each state's pick is the next exchange's target; the last state has none
+    assert picks == trace.path[1:] + [None]
     visited = [v] + [s.to_vertex for s in trace.steps]
     assert c.count == sum(len(adj[u]) for u in visited)
+
+
+@given(ordered_dags(infinity_tail=True), st.data())
+def test_replay_ends_on_the_sifted_labels(g, data):
+    """What the sift tests lean on: from the pre-sift labels and the trace
+    alone, the replay ends on the labels the sift left, and every state on
+    the way holds the post-replacement label multiset."""
+    v = data.draw(st.integers(0, g.n - 1))
+    old = g.labels[v]
+    if old == INF or data.draw(st.booleans()):
+        new = data.draw(st.integers(-200, 200)) if old == INF else old - data.draw(
+            st.integers(1, 30)
+        )
+        sift = lower_label
+    else:
+        new = INF if data.draw(st.booleans()) else old + data.draw(st.integers(1, 30))
+        sift = raise_label
+    labels_before = list(g.labels)
+    after = Counter(labels_before)
+    after[old] -= 1
+    after[new] += 1
+    trace = sift(g, v, new)
+    for state, _ in replay_states(g, labels_before, v, new, trace):
+        assert Counter(state.labels) == +after
+    assert state.labels == g.labels
 
 
 def test_lower_label_singleton():
@@ -149,9 +177,6 @@ def test_lower_label_preconditions(demo):
         lower_label(demo, 0, INF)
     with pytest.raises(IndexError):
         lower_label(demo, 12, 0)
-    demo.labels[9] = 3  # break orderedness
-    with pytest.raises(NotOrderedError):
-        lower_label(demo, 10, 1, check_ordered=True)
 
 
 def test_raise_label_path_example():
@@ -183,9 +208,6 @@ def test_raise_label_preconditions(demo):
         raise_label(demo, 9, 12)
     with pytest.raises(NotRaisingError):
         raise_label_via_reversal(demo, 9, 11)
-    demo.labels[9] = 3
-    with pytest.raises(NotOrderedError):
-        raise_label(demo, 0, 2, check_ordered=True)
 
 
 def test_reversal_equivalence_star_example():
@@ -326,18 +348,19 @@ def test_hot_path_builds_no_steps(monkeypatch, capsys):
 
 
 def test_loop_invariant_hook(demo):
+    """Both halves of the loop invariant hold at every replayed state."""
+    labels_before = list(demo.labels)
+    trace = lower_label(demo, 9, 3)
     checked = []
-
-    def hook(g, current):
-        for u, v in g.bad_edges():
+    for state, current in replay_states(demo, labels_before, 9, 3, trace):
+        for u, v in state.bad_edges():
             assert v == current  # every bad edge enters the sifted vertex
-        for p in g.prev_adj[current]:
-            for q in g.next_adj[current]:
-                assert g.labels[p] <= g.labels[q]
+        for p in state.prev_adj[current]:
+            for q in state.next_adj[current]:
+                assert state.labels[p] <= state.labels[q]
         checked.append(current)
-
-    lower_label(demo, 9, 3, iteration_hook=hook)
-    assert checked == [7, 8, 5, 3, 2, 2]  # once per iteration; the exit check repeats 2
+    assert state.labels == demo.labels
+    assert checked == [9, 7, 8, 5, 3, 2]  # the start, then once per exchange
     assert demo.is_ordered()
 
 
@@ -358,13 +381,13 @@ def test_inverted_tie_break_changes_the_golden_trace(demo):
     """Guard on the smallest-id tie rule: the golden trace's (5, 3, 6) step is
     a 6/6 tie between vertices 3 and 4; an implementation preferring the
     larger id would go to 4 and diverge from the golden trace."""
+    labels_before = list(demo.labels)
+    trace = lower_label(demo, 9, 3)
     tied = []
-
-    def hook(g, current):
+    for state, current in replay_states(demo, labels_before, 9, 3, trace):
         if current == 5:
-            tied.append([g.labels[u] for u in g.prev_adj[5]])
-
-    trace = lower_label(demo, 9, 3, iteration_hook=hook)
+            tied.append([state.labels[u] for u in state.prev_adj[5]])
+    assert state.labels == demo.labels
     assert demo.prev_adj[5] == [3, 4]
     assert tied == [[6, 6]]
     assert [tuple(s) for s in trace.steps] == EXPECTED_DEMO_STEPS

@@ -1,6 +1,7 @@
 """Topology builders and vertex orders."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,6 @@ from dagsort import (
     YoungGrid,
     bfs_order,
     build,
-    cardinality,
     hypercube_order,
     order_for,
     parse_topology,
@@ -119,7 +119,7 @@ def test_hypercube_degrees_match_cardinality():
     for dims in range(0, 8):
         g = build(Hypercube(dims))
         for v in range(g.n):
-            m = cardinality(v)
+            m = v.bit_count()
             assert len(g.prev_adj[v]) == m
             assert len(g.next_adj[v]) == dims - m
 
@@ -152,6 +152,10 @@ PARSE_FAULTS = [
     ("", ValueError, "unrecognized topology spec ''"),
     ("hypercube:40", OverflowError, "hypercube:40 exceeds 16777216 vertices"),
     ("grid:8:10", OverflowError, "grid:8:10 exceeds 16777216 vertices"),
+    ("grid:25:2", OverflowError, "grid:25:2 exceeds 16777216 vertices"),
+    ("hypercube:25", OverflowError, "hypercube:25 exceeds 16777216 vertices"),
+    ("grid:10000000:2", OverflowError, "grid:10000000:2 exceeds 16777216 vertices"),
+    ("hypercube:10000000", OverflowError, "hypercube:10000000 exceeds 16777216 vertices"),
 ]
 
 
@@ -177,6 +181,38 @@ def test_build_refuses_huge_members():
         parse_topology("hypercube:40")
     with pytest.raises(OverflowError):
         build(YoungGrid(8, 10))
+
+
+def peak_bytes(call) -> int:
+    """Peak traced allocation while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_vertex_grid_builds_in_constant_memory():
+    """``grid:K:1`` is one vertex for every K, so its build must not cost
+    anything of size K."""
+    t = parse_topology("grid:200000:1")
+    assert peak_bytes(lambda: build(t)) < 64 * 1024
+    g = build(t)
+    assert g.n == 1 and g.edge_count == 0 and t.stats().n == 1
+
+
+def test_cap_refused_before_the_capacity_is_computed():
+    """A dims past the cap is refused without first making a dims-bit int."""
+
+    def refuse(spec):
+        with pytest.raises(OverflowError, match=f"^{spec} exceeds 16777216 vertices$"):
+            parse_topology(spec)
+
+    for spec in ("grid:10000000:2", "hypercube:10000000"):
+        assert peak_bytes(lambda: refuse(spec)) < 64 * 1024
+    assert parse_topology("grid:24:2").capacity == 16777216
+    assert parse_topology("hypercube:24").capacity == 16777216
 
 
 def test_bfs_order_small_families():
@@ -210,12 +246,6 @@ def test_bfs_order_layers_are_nondecreasing(spec):
     assert [dist[v] for v in order] == sorted(dist[v] for v in order)
 
 
-def test_cardinality_examples():
-    assert cardinality(0) == 0
-    assert cardinality(0b1011000) == 3
-    assert cardinality((1 << 9) - 1) == 9
-
-
 def test_hypercube_order_frozen():
     assert list(hypercube_order(0)) == [0]
     assert list(hypercube_order(2)) == [0, 1, 2, 3]
@@ -225,14 +255,14 @@ def test_hypercube_order_frozen():
 @given(st.integers(0, 10))
 def test_hypercube_order_matches_sort_oracle(dims):
     got = list(hypercube_order(dims))
-    assert got == sorted(range(1 << dims), key=lambda v: (cardinality(v), v))
+    assert got == sorted(range(1 << dims), key=lambda v: (bin(v).count("1"), v))
 
 
 def test_hypercube_layer_sizes():
     for dims in range(0, 11):
         seen = list(hypercube_order(dims))
         for m in range(dims + 1):
-            layer = [v for v in seen if cardinality(v) == m]
+            layer = [v for v in seen if v.bit_count() == m]
             assert len(layer) == math.comb(dims, m)
 
 
