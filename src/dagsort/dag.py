@@ -7,7 +7,8 @@ That property is the generalized heap invariant everything else in the
 package maintains.
 
 Outside input is checked edge by edge, then list by list, then by Kahn's
-pass, in the order ``from_edges`` gives; edge tokens are converted at once.
+pass (run only when some edge falls in id), in the order ``from_edges`` gives.
+DAG text is refused from its header when n + m exceeds ``MAX_TEXT_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ Label = int | float
 # outright, before anything of that size is allocated.
 MAX_DIMS = 24  # any base of 2 or more raised past MAX_DIMS exceeds the cap
 MAX_VERTICES = 1 << MAX_DIMS
+MAX_TEXT_ENTRIES = 1 << 22  # DAG text: cap on n + m, checked from its header
 
 
 def is_finite_label(value: object) -> bool:
@@ -136,25 +138,29 @@ def _build(cls, n: int, edges, require_single_source: bool) -> LabeledDag:
     if n <= 0:
         raise ValueError(f"vertex count must be positive, got {n}")
     nxt: list[list[int]] = [[] for _ in range(n)]
+    prev: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         nxt[u].append(v)
+        prev[v].append(u)
     for u, lst in enumerate(nxt):
         lst.sort()
+        prev[u].sort()
         if len(set(lst)) < len(lst):
             v = next(a for a, b in zip(lst, lst[1:]) if a == b)
             raise ValueError(f"duplicate edge ({u}, {v})")
 
-    g = cls.from_successors(nxt)
-    topological_order(g)  # raises CycleError
-    roots = [v for v in range(n) if not g.prev_adj[v]]
-    g.source = roots[0]
-    if require_single_source and len(roots) != 1:
+    g = cls(n=n, prev_adj=prev, next_adj=nxt, labels=[INF] * n, source=0)
+    # ids that rise along every edge cannot close a cycle
+    if any(lst and lst[0] < u for u, lst in enumerate(nxt)):
+        topological_order(g)  # raises CycleError
+    g.source = prev.index([])
+    if require_single_source and prev.count([]) != 1:
         raise MultipleSourcesError(
-            f"expected exactly one in-degree-0 vertex, found {len(roots)}"
+            f"expected exactly one in-degree-0 vertex, found {prev.count([])}"
         )
     return g
 
@@ -195,6 +201,8 @@ def parse_dag_text(text: str) -> LabeledDag:
         raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     if m < 0:
         raise ValueError("negative edge count")
+    if max(n, 0) + m > MAX_TEXT_ENTRIES:
+        raise ValueError(f"{n} vertices plus {m} edges exceed {MAX_TEXT_ENTRIES}")
     pos = 2 + 2 * m
     if len(tokens) < pos:
         raise ValueError(f"expected {m} edges, input ends early")
@@ -209,8 +217,9 @@ def parse_dag_text(text: str) -> LabeledDag:
         labels = tokens[pos + 1 :]
         if len(labels) != n:
             raise ValueError(f"expected {n} labels, got {len(labels)}")
+        convert = parse_label if "inf" in labels else int
         try:
-            g.labels[:] = [parse_label(t) for t in labels]
+            g.labels[:] = map(convert, labels)
         except ValueError as exc:
             raise ValueError(f"bad label token: {exc}") from exc
     return g

@@ -7,7 +7,8 @@ slot's label into place; remove-min raises the source's label to INF. Free
 slots are handed out by ascending position in the insertion order (a BFS
 order of the DAG), so a fresh queue fills layer by layer. The heap of free
 positions is lazy: it may hold positions whose vertex has since taken a
-finite label, and those are skipped when popped.
+finite label, and those are skipped when popped. Only remove-min grows it,
+so there it is rebuilt from the free vertices once it holds more than 2n.
 """
 
 from __future__ import annotations
@@ -108,10 +109,12 @@ class OrderedDagQueue:
     def remove_min(self) -> Label:
         if self.occupied == 0:
             raise EmptyQueueError("queue is empty")
-        source = self.dag.source
-        smallest = self.dag.labels[source]
+        source, labels, heap = self.dag.source, self.dag.labels, self._free_positions
+        smallest = labels[source]
         trace = raise_label(self.dag, source, INF, self.counter)
-        heapq.heappush(self._free_positions, self._position[trace.terminal_vertex])
+        heapq.heappush(heap, self._position[trace.terminal_vertex])
+        if len(heap) > 2 * len(labels):  # drop the stale positions
+            heap[:] = [p for p, u in enumerate(self._order) if labels[u] == INF]
         self.occupied -= 1
         return smallest
 

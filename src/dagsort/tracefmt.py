@@ -10,11 +10,13 @@ block is formatted once, from the successor lists; one plain line per vertex
 is kept, and each exchange re-formats two: the vertex the sifted label left
 takes the displaced label, and the vertex it entered is drawn gray. A
 snapshot is one join of its header, its vertex lines and the edge block.
+Vertex ids are formatted once; a label is written by ``str``, which gives
+``format_label``'s text for ints and for INF (``inf``).
 """
 
 from __future__ import annotations
 
-from .dag import Label, LabeledDag, format_label
+from .dag import Label, LabeledDag
 from .reorder import ExchangeTrace
 
 
@@ -27,12 +29,11 @@ def dot_snapshots(
 ) -> list[str]:
     """Replay a lowering (or raising) trace against the pre-sift labels and
     render len(trace) + 1 snapshots."""
-    plain = [
-        f'  {v} [label="{format_label(x)}"];\n' for v, x in enumerate(labels_before)
-    ]
-    edge_lines = [f"  {u} -> {v};\n" for u, nxt in enumerate(g.next_adj) for v in nxt]
+    ids = list(map(str, range(g.n)))
+    plain = [f'  {v} [label="{x}"];\n' for v, x in zip(ids, labels_before)]
+    edge_lines = [f"  {i} -> {ids[v]};\n" for i, vs in zip(ids, g.next_adj) for v in vs]
     edge_block = "".join(edge_lines) + "}\n"
-    sifted = format_label(new_label)
+    sifted = str(new_label)
     path, moved = trace.path, trace.moved
     snapshots = []
     for i, current in enumerate(path):
@@ -41,7 +42,7 @@ def dot_snapshots(
             f'  {current} [label="{sifted}", style=filled, fillcolor=gray];\n'
         )
         if i < len(moved):
-            target, displaced = path[i + 1], format_label(moved[i])
+            target, displaced = path[i + 1], str(moved[i])
             lines[1 + target] = (
                 f'  {target} [label="{displaced}", style=filled, '
                 "fillcolor=black, fontcolor=white];\n"

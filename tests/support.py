@@ -11,7 +11,13 @@ from dataclasses import replace
 
 from hypothesis import strategies as st
 
-from dagsort import INF, LabeledDag, format_label, topological_order
+from dagsort import (
+    INF,
+    LabeledDag,
+    MultipleSourcesError,
+    format_label,
+    topological_order,
+)
 
 
 def oracle_largest_violating(g: LabeledDag, v: int):
@@ -123,6 +129,38 @@ def oracle_adjacency(n: int, pairs) -> tuple[list[list[int]], list[list[int]]]:
     for v, u in sorted((v, u) for u, v in edges):
         prev_adj[v].append(u)
     return next_adj, prev_adj
+
+
+def oracle_build(n: int, edges, require_single_source: bool) -> LabeledDag:
+    """Admission as the library first wrote it, the reference for
+    ``from_edges``, ``from_edges_multi_source`` and ``parse_dag_text``: range
+    and self-loop per edge, then repeats per sorted successor list, then
+    ``from_successors`` and Kahn's pass on every graph, whatever its ids,
+    then the roots."""
+    if n <= 0:
+        raise ValueError(f"vertex count must be positive, got {n}")
+    nxt: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        nxt[u].append(v)
+    for u, lst in enumerate(nxt):
+        lst.sort()
+        if len(set(lst)) < len(lst):
+            v = next(a for a, b in zip(lst, lst[1:]) if a == b)
+            raise ValueError(f"duplicate edge ({u}, {v})")
+
+    g = LabeledDag.from_successors(nxt)
+    topological_order(g)  # raises CycleError
+    roots = [v for v in range(n) if not g.prev_adj[v]]
+    g.source = roots[0]
+    if require_single_source and len(roots) != 1:
+        raise MultipleSourcesError(
+            f"expected exactly one in-degree-0 vertex, found {len(roots)}"
+        )
+    return g
 
 
 def finite_multiset(g: LabeledDag) -> Counter:

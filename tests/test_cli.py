@@ -10,6 +10,7 @@ import random
 import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,10 @@ REPO = Path(__file__).resolve().parent.parent
 DEMO_FIXTURE = str(REPO / "fixtures" / "demo12.dag")
 # stdout of `dagsort trace --input fixtures/demo12.dag --vertex 9 --new-label 3`
 GOLDEN_DOT = (REPO / "fixtures" / "demo12_sift.dot").read_text()
+# 40 vertices, three roots, 28 of 72 edges falling in id, eight inf labels
+DAG40_FIXTURE = str(REPO / "fixtures" / "dag40.dag")
+# stdout of `dagsort trace --input fixtures/dag40.dag --vertex 29 --new-label -14`
+DAG40_DOT = (REPO / "fixtures" / "dag40_sift.dot").read_text()
 
 GOLDEN_TRACE_TEXT = (
     "swap 9 7 label=10\n"
@@ -217,6 +222,17 @@ def test_trace_dot_snapshots(capsys):
     assert out == GOLDEN_DOT
 
 
+def test_trace_dot_golden_on_forty_vertices(capsys):
+    """A sift of nine exchanges whose first one displaces an ``inf`` label,
+    on a DAG whose edge lines are out of order: pinned byte for byte."""
+    argv = ["trace", "--input", DAG40_FIXTURE, "--vertex", "29", "--new-label", "-14"]
+    rc, out, err = run_cli(argv, capsys=capsys)
+    assert (rc, err) == (0, "")
+    assert out == DAG40_DOT
+    assert out.count("digraph") == 10
+    assert '  18 [label="inf", style=filled, fillcolor=black, fontcolor=white];' in out
+
+
 def test_trace_out_directory(tmp_path, capsys):
     out_dir = tmp_path / "snaps"
     rc, out, err = run_cli(
@@ -303,6 +319,26 @@ def test_trace_oversized_header_exits_2(tmp_path, capsys):
         assert rc == 2, header
         assert out == ""
         assert err.startswith("error:") and "exceeds 16777216" in err
+
+
+def test_trace_header_over_budget_exits_2(tmp_path, capsys):
+    """A header whose n + m exceeds 2**22 is refused before any list of that
+    size is made, so the refusal costs next to nothing."""
+    big = tmp_path / "big.dag"
+    argv = ["trace", "--input", str(big), "--vertex", "0", "--new-label", "0"]
+    for n, m in ((4194305, 0), (16777216, 0), (1, 4194304), (2097152, 2097153)):
+        big.write_text(f"{n} {m}\n")
+        tracemalloc.start()
+        try:
+            rc, out, err = run_cli(argv, capsys=capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {n} vertices plus {m} edges exceed 4194304\n"
+        # a first call in a fresh process peaks near 0.25 MiB (argparse and
+        # import caches); one n-sized list of the refused graph is 32 MiB
+        assert peak < 1 << 20, (n, m, peak)
 
 
 def test_bench_sweep_golden(monkeypatch, capsys):

@@ -160,6 +160,11 @@ def test_text_format_rejects_malformed(text):
         ("2 x\n", ValueError, "bad header: invalid literal for int() with base 10: 'x'"),
         ("two 1\n", ValueError, "bad header: invalid literal for int() with base 10: 'two'"),
         ("2 -1\n", ValueError, "negative edge count"),
+        ("16777217 -1\n", ValueError, "vertex count 16777217 exceeds 16777216"),
+        ("4194305 0\n", ValueError, "4194305 vertices plus 0 edges exceed 4194304"),
+        ("1 4194304\n", ValueError, "1 vertices plus 4194304 edges exceed 4194304"),
+        ("1 4194303\n", ValueError, "expected 4194303 edges, input ends early"),
+        ("-1 4194305\n", ValueError, "-1 vertices plus 4194305 edges exceed 4194304"),
         ("0 0\n", ValueError, "vertex count must be positive, got 0"),
         ("-3 0\n", ValueError, "vertex count must be positive, got -3"),
         ("2 1\n", ValueError, "expected 1 edges, input ends early"),
@@ -174,6 +179,8 @@ def test_text_format_rejects_malformed(text):
         ("2 1\n0 1\nextra 1 2\n", ValueError, "unexpected token 'extra'"),
         ("2 1\n0 1\nlabels: 3\n", ValueError, "expected 2 labels, got 1"),
         ("2 1\n0 1\nlabels: 3 x\n", ValueError, "bad label token: invalid literal for int() with base 10: 'x'"),
+        ("3 2\n0 1\n0 2\nlabels: inf y x\n", ValueError, "bad label token: invalid literal for int() with base 10: 'y'"),
+        ("3 2\n0 1\n0 2\nlabels: 1 y inf\n", ValueError, "bad label token: invalid literal for int() with base 10: 'y'"),
     ],
 )
 def test_text_format_fault_messages(text, error, message):

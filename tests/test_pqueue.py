@@ -1,5 +1,6 @@
 """Queue discipline over labeled DAGs, checked against a multiset oracle."""
 
+import heapq
 import random
 from collections import Counter
 
@@ -26,6 +27,7 @@ from dagsort import (
     lower_label,
     order_for,
     parse_topology,
+    raise_label,
 )
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_single_source_dag
@@ -356,3 +358,50 @@ def test_queue_fuzz_on_non_graded_dags(seed, n, extra, ops):
         assert q.infinity_slots() == frozenset(
             v for v in range(n) if q.dag.labels[v] == INF
         )
+
+
+class NeverRebuilt(OrderedDagQueue):
+    """remove_min as first written: its pushes make the free-slot heap grow,
+    and stale positions are only ever skipped when popped."""
+
+    def remove_min(self):
+        smallest = self.get_min()[1]
+        trace = raise_label(self.dag, self.dag.source, INF, self.counter)
+        heapq.heappush(self._free_positions, self._position[trace.terminal_vertex])
+        self.occupied -= 1
+        return smallest
+
+
+def test_free_slot_heap_stays_within_twice_capacity():
+    """An insert on a non-graded DAG can leave a stale free position behind,
+    and so can lowering a free slot in place, so the lazy heap grew without
+    bound: 70 440 entries after these 200 000 calls. It now holds at most
+    2n. A twin queue that never drops a position settles every value on the
+    same vertex, pops the same minima and counts the same comparisons,
+    through 20 000 calls and then a fill that takes every free slot."""
+    rng = random.Random(512)
+    n = 512
+    g = random_single_source_dag(rng, n)
+    q, lazy = OrderedDagQueue(g), NeverRebuilt(g.copy())
+
+    def churn(queues, calls):
+        for _ in range(calls):
+            if len(q) < n // 4 or (len(q) < 3 * n // 4 and rng.random() < 0.5):
+                x = rng.randrange(1 << 20)
+                if rng.random() < 0.1:  # a targeted insert at the lowest free id
+                    v = q.dag.labels.index(INF)
+                    for queue in queues:
+                        queue.lower_label_at(v, x)
+                else:
+                    assert len({queue.insert(x) for queue in queues}) == 1
+            else:
+                assert len({queue.remove_min() for queue in queues}) == 1
+            assert len(q._free_positions) <= 2 * n
+
+    churn([q, lazy], 20_000)
+    assert len(lazy._free_positions) > 2 * n  # so q has dropped some
+    for x in range(n - len(q)):
+        assert q.insert(x) == lazy.insert(x)
+    assert q.dag.labels == lazy.dag.labels
+    assert q.counter.count == lazy.counter.count
+    churn([q], 180_000 - n)
