@@ -29,7 +29,7 @@ def main():
         t = Hypercube(k)
         n = 1 << k
         start = time.perf_counter()
-        rep = dag_sort(build(t), worst_case_input(t), order=hypercube_order(k), topology=t)
+        rep = dag_sort(build(t), worst_case_input(t), order=hypercube_order(k))
         elapsed = time.perf_counter() - start
         closed = hypercube_worst_case_closed(k)
         summed = hypercube_worst_case_sum(k)

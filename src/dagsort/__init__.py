@@ -8,14 +8,12 @@ from .analysis import (
     general_bound,
     hypercube_worst_case_closed,
     hypercube_worst_case_sum,
-    log2_factorial,
     stats,
 )
 from .dag import (
     INF,
     Label,
     LabeledDag,
-    format_dag_text,
     format_label,
     is_finite_label,
     parse_dag_text,

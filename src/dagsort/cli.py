@@ -21,8 +21,8 @@ from .analysis import (
     hypercube_worst_case_closed,
     stats,
 )
-from .dag import INF, LabeledDag, format_label, parse_dag_text
-from .errors import CycleError, NotLoweringError, SizeMismatchError
+from .dag import INF, format_label, parse_dag_text
+from .errors import CycleError, SizeMismatchError
 from .random_dags import random_ordered_labels, random_single_source_dag
 from .reorder import format_trace, lower_label, raise_label, raise_label_via_reversal
 from .sorting import dag_sort, hypercube_sort
@@ -59,15 +59,15 @@ def cmd_sort(args) -> int:
     try:
         if args.topology == "hypercube":
             # bare family name: auto-size to the input
+            t = Hypercube.fitting(len(values))
             report = hypercube_sort(values)
-            t = report.topology
         else:
             t = parse_topology(args.topology)
             n = t.capacity
             if len(values) != n:  # refuse before build allocates n vertices
                 raise SizeMismatchError(f"{len(values)} values for {n} vertices")
             g = build(t)
-            report = dag_sort(g, values, order=order_for(t, g), topology=t)
+            report = dag_sort(g, values, order=order_for(t, g))
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -127,7 +127,7 @@ def cmd_bench(args) -> int:
         )
         for pattern in patterns:
             values = make_pattern(pattern, g.n, random.Random(row_seed))
-            report = dag_sort(g, values, order=order, topology=t)
+            report = dag_sort(g, values, order=order)
             print(
                 f"{t},{g.n},{pattern},{row_seed},"
                 f"{report.insert_comparisons},{report.remove_comparisons},"
@@ -173,9 +173,13 @@ def cmd_trace(args) -> int:
     snapshots = dot_snapshots(g, labels_before, args.vertex, new_label, trace)
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for i, snap in enumerate(snapshots):
-            (out_dir / f"sift_{i:03d}.dot").write_text(snap)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for i, snap in enumerate(snapshots):
+                (out_dir / f"sift_{i:03d}.dot").write_text(snap)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(snapshots)} snapshots to {out_dir}", file=sys.stderr)
     else:
         sys.stdout.writelines(snapshots)
@@ -195,7 +199,7 @@ def _verify_sift_properties(seed: int, runs: int) -> tuple[bool, bool]:
         for _ in range(8):
             v = rng.randrange(g.n)
             old = g.labels[v]
-            before = g.labels_multiset()
+            before = Counter(g.labels)
             if old == INF or (rng.random() < 0.5 and old > -(10**6)):
                 new = (
                     rng.randint(-100, 100)
@@ -210,7 +214,7 @@ def _verify_sift_properties(seed: int, runs: int) -> tuple[bool, bool]:
             before[new] += 1
             if not g.is_ordered():
                 ordered_ok = False
-            if +before != +g.labels_multiset():
+            if +before != +Counter(g.labels):
                 multiset_ok = False
     return ordered_ok, multiset_ok
 

@@ -13,7 +13,7 @@ DAG text is refused from its header when n + m exceeds ``MAX_TEXT_ENTRIES``.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import CycleError, MultipleSourcesError
@@ -102,27 +102,6 @@ class LabeledDag:
                 if labels[u] > lv:
                     return False
         return True
-
-    def bad_edges(self) -> list[tuple[int, int]]:
-        labels = self.labels
-        return [
-            (u, v)
-            for v, prevs in enumerate(self.prev_adj)
-            for u in prevs
-            if labels[u] > labels[v]
-        ]
-
-    def labels_multiset(self) -> Counter:
-        return Counter(self.labels)
-
-    def edges(self):
-        for u, nxt in enumerate(self.next_adj):
-            for v in nxt:
-                yield (u, v)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nxt) for nxt in self.next_adj)
 
     def copy(self) -> "LabeledDag":
         return LabeledDag(
@@ -224,10 +203,3 @@ def parse_dag_text(text: str) -> LabeledDag:
             raise ValueError(f"bad label token: {exc}") from exc
     return g
 
-
-def format_dag_text(g: LabeledDag, include_labels: bool = True) -> str:
-    lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    if include_labels:
-        lines.append("labels: " + " ".join(format_label(l) for l in g.labels))
-    return "\n".join(lines) + "\n"

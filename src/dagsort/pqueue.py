@@ -62,16 +62,8 @@ class OrderedDagQueue:
     def capacity(self) -> int:
         return self.dag.n
 
-    @property
-    def insertion_order(self) -> tuple[int, ...]:
-        return tuple(self._order)
-
     def __len__(self) -> int:
         return self.occupied
-
-    def infinity_slots(self) -> frozenset[int]:
-        labels = self.dag.labels
-        return frozenset(v for v in range(self.dag.n) if labels[v] == INF)
 
     def _pop_free_vertex(self) -> int:
         # lazy deletion: positions whose vertex has since filled are skipped

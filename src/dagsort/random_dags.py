@@ -43,22 +43,18 @@ def random_single_source_dag(
 
 
 def random_ordered_labels(
-    rng: random.Random,
-    g: LabeledDag,
-    *,
-    spread: int = 6,
-    infinity_tail: int = 0,
+    rng: random.Random, g: LabeledDag, *, infinity_tail: int = 0
 ) -> None:
     """Assign random labels in place that satisfy the ordered property.
 
-    Walks a topological order giving each vertex a label at least the max of
-    its predecessors (ties allowed). ``infinity_tail`` vertices at the end
+    Walks a topological order giving each vertex the max of its predecessors'
+    labels plus 0 to 5 (ties allowed). ``infinity_tail`` vertices at the end
     of the order get INF; that set is successor-closed, so ordering holds.
     """
     order = topological_order(g)
     labels = g.labels
     for v in order:
         floor = max((labels[u] for u in g.prev_adj[v]), default=rng.randint(-20, 20))
-        labels[v] = floor + rng.randrange(spread)
+        labels[v] = floor + rng.randrange(6)
     for v in order[g.n - infinity_tail :] if infinity_tail > 0 else []:
         labels[v] = INF

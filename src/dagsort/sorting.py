@@ -23,20 +23,13 @@ class SortReport:
     output: list[int]
     insert_comparisons: int
     remove_comparisons: int
-    topology: Topology | None
 
     @property
     def total_comparisons(self) -> int:
         return self.insert_comparisons + self.remove_comparisons
 
 
-def dag_sort(
-    g: LabeledDag,
-    values,
-    *,
-    order=None,
-    topology: Topology | None = None,
-) -> SortReport:
+def dag_sort(g: LabeledDag, values, *, order=None) -> SortReport:
     """Sort exactly len(values) == g.n integers through the queue.
 
     g must start all-INF and is returned to that state (n inserts, n
@@ -45,23 +38,21 @@ def dag_sort(
     values = list(values)
     if len(values) != g.n:
         raise SizeMismatchError(f"{len(values)} values for {g.n} vertices")
-    return _queue_sort(g, values, order, topology)
+    return _queue_sort(g, values, order)
 
 
 def hypercube_sort(values) -> SortReport:
     """Sort any number of integers on the smallest hypercube that fits.
 
-    Picks dims = ceil(log2(len(values))) (0 for empty or singleton input)
-    and simply stops after len(values) removals; the unfilled slots stay at
-    INF and never surface.
+    The cube is ``Hypercube.fitting(len(values))``; the sort stops after
+    len(values) removals, so the unfilled slots stay at INF and never surface.
     """
     values = list(values)
-    dims = (len(values) - 1).bit_length() if len(values) > 1 else 0
-    t = Hypercube(dims)
-    return _queue_sort(build(t), values, hypercube_order(dims), t)
+    t = Hypercube.fitting(len(values))
+    return _queue_sort(build(t), values, hypercube_order(t.dims))
 
 
-def _queue_sort(g: LabeledDag, values: list, order, topology) -> SortReport:
+def _queue_sort(g: LabeledDag, values: list, order) -> SortReport:
     """Insert every value, then remove as many minima; len(values) <= g.n."""
     queue = OrderedDagQueue(g, order=order)
     for value in values:
@@ -72,7 +63,6 @@ def _queue_sort(g: LabeledDag, values: list, order, topology) -> SortReport:
         output=output,
         insert_comparisons=insert_comparisons,
         remove_comparisons=queue.counter.count - insert_comparisons,
-        topology=topology,
     )
 
 

@@ -134,6 +134,11 @@ class Hypercube(Topology):
             nxt += upper
         return nxt
 
+    @classmethod
+    def fitting(cls, n: int) -> "Hypercube":
+        """The smallest cube with at least n vertices; dims 0 for n <= 1."""
+        return cls(max(n - 1, 0).bit_length())
+
     def _path_and_degrees(self) -> tuple[int, int, int]:
         return self.dims, self.dims, self.dims
 

@@ -48,8 +48,8 @@ def _oracle_snapshot(g, labels, index, current, target) -> str:
             attrs.append("fillcolor=black")
             attrs.append("fontcolor=white")
         lines.append(f"  {v} [{', '.join(attrs)}];")
-    for u, v in g.edges():
-        lines.append(f"  {u} -> {v};")
+    for u, nxt in enumerate(g.next_adj):
+        lines.extend(f"  {u} -> {v};" for v in nxt)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -161,6 +161,12 @@ def oracle_build(n: int, edges, require_single_source: bool) -> LabeledDag:
             f"expected exactly one in-degree-0 vertex, found {len(roots)}"
         )
     return g
+
+
+def bad_edges(g: LabeledDag) -> list[tuple[int, int]]:
+    """Every edge (u, v) with labels[u] > labels[v], in successor-list order."""
+    labels = g.labels
+    return [(u, v) for u, nxt in enumerate(g.next_adj) for v in nxt if labels[u] > labels[v]]
 
 
 def finite_multiset(g: LabeledDag) -> Counter:

@@ -36,7 +36,7 @@ from dagsort.cli import make_pattern
 from dagsort.random_dags import random_ordered_labels, random_single_source_dag
 from dagsort.topologies import hypercube_order, order_for
 
-from support import longest_path_ending_at, longest_path_starting_at, replay_states
+from support import bad_edges, longest_path_ending_at, longest_path_starting_at, replay_states
 
 DEMO_FIXTURE = str(FilePath(__file__).resolve().parent.parent / "fixtures" / "demo12.dag")
 
@@ -61,7 +61,7 @@ def test_1_exact_worst_case():
         closed = hypercube_worst_case_closed(k)
         summed = hypercube_worst_case_sum(k)
         g = build(t)
-        rep = dag_sort(g, worst_case_input(t), order=hypercube_order(k), topology=t)
+        rep = dag_sort(g, worst_case_input(t), order=hypercube_order(k))
         if not (closed == summed == rep.insert_comparisons):
             ok = False
             break
@@ -93,7 +93,7 @@ def test_2_general_bound_sweep():
         for pattern in ("sorted", "reverse", "equal") + ("random",) * repeats:
             values = make_pattern(pattern, g.n, random.Random(seed))
             seed += 1
-            rep = dag_sort(g, values, order=order, topology=t)
+            rep = dag_sort(g, values, order=order)
             runs += 1
             if rep.total_comparisons > bound:
                 violations += 1
@@ -163,7 +163,7 @@ def test_4_sorting_oracle():
 
     def run_exact(t, values):
         g = build(t)
-        check(dag_sort(g, values, order=order_for(t, g), topology=t), values)
+        check(dag_sort(g, values, order=order_for(t, g)), values)
 
     # pinned sizes: empty, singletons, and the 1024 cap on every family
     check(hypercube_sort([]), [])
@@ -224,7 +224,7 @@ def test_5_sift_property_suite():
                 # both halves of the loop invariant, at every state of the sift
                 for state, current in replay_states(g, labels_before, v, new, trace):
                     state_checks += 1
-                    bad = state.bad_edges()
+                    bad = bad_edges(state)
                     ends_ok = all((e[1] if lowering else e[0]) == current for e in bad)
                     ps = [state.labels[p] for p in state.prev_adj[current]]
                     ns = [state.labels[x] for x in state.next_adj[current]]
@@ -335,7 +335,7 @@ def test_9_asymptotic_slope():
         values = [rng.randrange(10 * n) for _ in range(n)]
         t = Hypercube(k)
         g = build(t)
-        rep = dag_sort(g, values, order=hypercube_order(k), topology=t)
+        rep = dag_sort(g, values, order=hypercube_order(k))
         xs.append(math.log(n * math.log2(n) ** 2))
         ys.append(math.log(rep.total_comparisons))
     slope = statistics.linear_regression(xs, ys).slope

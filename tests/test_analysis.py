@@ -18,9 +18,9 @@ from dagsort import (
     general_bound,
     hypercube_worst_case_closed,
     hypercube_worst_case_sum,
-    log2_factorial,
     stats,
 )
+from dagsort.analysis import log2_factorial
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_single_source_dag
 

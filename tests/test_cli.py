@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dagsort import cli
+from dagsort import cli, demo
 from dagsort.analysis import hypercube_worst_case_closed
 
 REPO = Path(__file__).resolve().parent.parent
@@ -64,14 +64,16 @@ def test_sort_bare_hypercube_autosizes(monkeypatch, capsys):
     rc, out, err = run_cli(["sort"], "5 4 3 2 1", monkeypatch, capsys)
     assert rc == 0
     assert out == "1 2 3 4 5\n"
-    assert "n=5 topology=hypercube:3 " in err
+    assert err == (
+        "n=5 topology=hypercube:3 insert_cmp=6 remove_cmp=24 total=30 bound=90\n"
+    )
 
 
 def test_sort_empty_input(monkeypatch, capsys):
     rc, out, err = run_cli(["sort"], "", monkeypatch, capsys)
     assert rc == 0
     assert out == ""
-    assert "n=0 " in err
+    assert err == "n=0 topology=hypercube:0 insert_cmp=0 remove_cmp=0 total=0 bound=0\n"
 
 
 def test_sort_size_mismatch_exits_3(monkeypatch, capsys):
@@ -193,6 +195,23 @@ def test_verify_passes(capsys):
     }
 
 
+def test_verify_failing_suite_exits_1(monkeypatch, capsys):
+    """The demo DAG with every label one higher still sifts, but no longer
+    to the golden trace's labels."""
+    shifted = demo.demo_dag()
+    shifted.labels[:] = [label + 1 for label in shifted.labels]
+    monkeypatch.setattr(demo, "demo_dag", shifted.copy)
+    rc, out, _ = run_cli(["verify", "--runs", "20"], capsys=capsys)
+    assert rc == 1
+    assert out == (
+        "PASS ordered-after-sift\n"
+        "PASS multiset-conservation\n"
+        "PASS raise-equivalence\n"
+        "PASS entropy-bound\n"
+        "FAIL golden-trace\n"
+    )
+
+
 def test_trace_text_golden(capsys):
     rc, out, err = run_cli(
         [
@@ -296,15 +315,20 @@ def test_trace_unordered_input_exits_4(tmp_path, capsys):
 
 def test_trace_bad_arguments_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.dag")
+    blocker = tmp_path / "file"  # --out names a file, so no directory can be made
+    blocker.write_text("")
     cases = [
         ["trace", "--input", missing, "--vertex", "0", "--new-label", "0"],
         ["trace", "--input", DEMO_FIXTURE, "--vertex", "99", "--new-label", "0"],
         ["trace", "--input", DEMO_FIXTURE, "--vertex", "9", "--new-label", "abc"],
+        ["trace", "--input", DEMO_FIXTURE, "--vertex", "9", "--new-label", "3",
+         "--out", str(blocker)],
     ]
     for argv in cases:
-        rc, out, _ = run_cli(argv, capsys=capsys)
+        rc, out, err = run_cli(argv, capsys=capsys)
         assert rc == 2, argv
         assert out == ""
+        assert err.startswith("error: "), argv
 
 
 def test_trace_oversized_header_exits_2(tmp_path, capsys):

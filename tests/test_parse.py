@@ -12,7 +12,6 @@ from dagsort import (
     CycleError,
     DagSortError,
     LabeledDag,
-    format_dag_text,
     format_label,
     parse_dag_text,
 )
@@ -30,7 +29,7 @@ def edge_sets(draw, max_n: int = 16):
     """
     if draw(st.booleans()):
         g = draw(ordered_dags(max_n=max_n, infinity_tail=True))
-        return g.n, list(g.edges()), g.labels
+        return g.n, [(u, v) for u, nxt in enumerate(g.next_adj) for v in nxt], g.labels
     n = draw(st.integers(1, max_n))
     rank = draw(st.permutations(range(n)))
     pairs = draw(
@@ -61,8 +60,6 @@ def test_parse_matches_adjacency_oracle(graph, rng):
     assert g.prev_adj == prev_adj
     assert g.labels == (labels if labels is not None else [INF] * n)
     assert g.source == min(v for v in range(n) if not prev_adj[v])
-    # the edge lines come back sorted, whatever order they were read in
-    assert format_dag_text(g) == dag_text(n, sorted(edges), g.labels)
 
 
 FAULTS = ("out of range", "self-loop", "duplicate", "back edge")

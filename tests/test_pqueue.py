@@ -21,8 +21,7 @@ from dagsort import (
     OrderedDagQueue,
     Path,
     RaiseToInfinityError,
-    Star,
-    YoungGrid,
+    bfs_order,
     build,
     lower_label,
     order_for,
@@ -64,7 +63,7 @@ def test_create_validates_order():
             OrderedDagQueue(g, order=order)
         assert str(exc.value) == "order must be a permutation of the vertices", order
     q = OrderedDagQueue(g, order=(v for v in [0, 1, 2]))
-    assert q.insertion_order == (0, 1, 2)
+    assert [q.insert(5) for _ in range(3)] == [0, 1, 2]
 
 
 def test_insert_examples():
@@ -79,7 +78,7 @@ def test_insert_examples():
 
 def test_insert_equal_labels_never_exchange():
     q = fresh_queue("hypercube:3")
-    order = q.insertion_order
+    order = order_for(parse_topology("hypercube:3"), q.dag)
     for i in range(8):
         assert q.insert(5) == order[i]  # settles where it was placed
     assert q.counter.count == sum(len(q.dag.prev_adj[v]) for v in order)
@@ -173,7 +172,7 @@ def test_lowering_a_free_slot_is_an_insert():
 def test_pure_insert_prefix_property():
     for spec in FAMILIES:
         q = fresh_queue(spec)
-        order = q.insertion_order
+        order = order_for(parse_topology(spec), q.dag)
         for m in range(1, q.capacity + 1):
             q.insert(100 - m)
             finite = {v for v in range(q.capacity) if q.dag.labels[v] != INF}
@@ -203,10 +202,7 @@ def test_occupied_plus_free_slots_is_capacity():
             q.remove_min()
             live -= 1
         assert q.occupied == live
-        assert len(q.infinity_slots()) == q.capacity - live
-        assert q.infinity_slots() == frozenset(
-            v for v in range(q.capacity) if q.dag.labels[v] == INF
-        )
+        assert q.dag.labels.count(INF) == q.capacity - live
 
 
 def test_non_graded_dag_keeps_bookkeeping_exact():
@@ -217,9 +213,7 @@ def test_non_graded_dag_keeps_bookkeeping_exact():
     q.insert(10)
     q.insert(5)  # goes to vertex 1; its INF-labeled neighbour 2 gets dragged in
     assert q.occupied == 2
-    assert q.infinity_slots() == frozenset(
-        v for v in range(3) if q.dag.labels[v] == INF
-    )
+    assert q.dag.labels == [5, INF, 10]
     q.insert(7)
     assert q.occupied == 3
     assert [q.remove_min() for _ in range(3)] == [5, 7, 10]
@@ -311,7 +305,7 @@ def test_queue_fuzz_on_non_graded_dags(seed, n, extra, ops):
     topological, so inserts can pull INF labels down into earlier slots."""
     g = random_single_source_dag(random.Random(seed), n, extra_edges=extra)
     q = OrderedDagQueue(g)
-    position = {v: i for i, v in enumerate(q.insertion_order)}
+    position = {v: i for i, v in enumerate(bfs_order(g))}
     oracle = Counter()
     for kind, x, pick in ops:
         labels = q.dag.labels
@@ -355,9 +349,6 @@ def test_queue_fuzz_on_non_graded_dags(seed, n, extra, ops):
         assert q.dag.is_ordered()
         assert finite_multiset(q.dag) == oracle
         assert len(q) == oracle.total()
-        assert q.infinity_slots() == frozenset(
-            v for v in range(n) if q.dag.labels[v] == INF
-        )
 
 
 class NeverRebuilt(OrderedDagQueue):
