@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -175,6 +176,10 @@ def cmd_trace(args) -> int:
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
+            # a longer earlier sift's snapshots would outlive this one's
+            for old in out_dir.glob("sift_*.dot"):
+                if re.fullmatch(r"sift_[0-9]+\.dot", old.name):
+                    old.unlink()
             for i, snap in enumerate(snapshots):
                 (out_dir / f"sift_{i:03d}.dot").write_text(snap)
         except OSError as exc:

@@ -8,7 +8,7 @@ package maintains.
 
 Outside input is checked edge by edge, then list by list, then by Kahn's
 pass (run only when some edge falls in id), in the order ``from_edges`` gives.
-DAG text is refused from its header when n + m exceeds ``MAX_TEXT_ENTRIES``.
+DAG text is refused from its header when n + m exceeds ``MAX_ENTRIES``.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ INF: float = float("inf")
 # Finite labels are ints; a float slot only ever holds +-INF.
 Label = int | float
 
-# Topology builds and parsed DAG text beyond this vertex count are refused
-# outright, before anything of that size is allocated.
+# Topology builds and parsed DAG text past MAX_VERTICES vertices, or past
+# MAX_ENTRIES vertices plus edges, are refused before anything that size exists.
 MAX_DIMS = 24  # any base of 2 or more raised past MAX_DIMS exceeds the cap
 MAX_VERTICES = 1 << MAX_DIMS
-MAX_TEXT_ENTRIES = 1 << 22  # DAG text: cap on n + m, checked from its header
+MAX_ENTRIES = 1 << 22  # cap on n + m, from a text header or a family's closed form
 
 
 def is_finite_label(value: object) -> bool:
@@ -180,8 +180,8 @@ def parse_dag_text(text: str) -> LabeledDag:
         raise ValueError(f"vertex count {n} exceeds {MAX_VERTICES}")
     if m < 0:
         raise ValueError("negative edge count")
-    if max(n, 0) + m > MAX_TEXT_ENTRIES:
-        raise ValueError(f"{n} vertices plus {m} edges exceed {MAX_TEXT_ENTRIES}")
+    if max(n, 0) + m > MAX_ENTRIES:
+        raise ValueError(f"{n} vertices plus {m} edges exceed {MAX_ENTRIES}")
     pos = 2 + 2 * m
     if len(tokens) < pos:
         raise ValueError(f"expected {m} edges, input ends early")

@@ -23,23 +23,14 @@ def random_single_source_dag(
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    edges = []
-    present = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.append((u, v))
-        present.add((u, v))
-    if n >= 2:
-        budget = 2 * n if extra_edges is None else extra_edges
-        max_pairs = n * (n - 1) // 2
-        budget = min(budget, max_pairs - len(present))
-        for _ in range(budget):
-            u = rng.randrange(n - 1)
-            v = rng.randrange(u + 1, n)
-            if (u, v) not in present:
-                edges.append((u, v))
-                present.add((u, v))
-    return LabeledDag.from_edges(n, edges)
+    present = {(rng.randrange(v), v) for v in range(1, n)}
+    budget = 2 * n if extra_edges is None else extra_edges
+    # n = 1 leaves no pair to add, so the loop below never runs
+    for _ in range(min(budget, n * (n - 1) // 2 - len(present))):
+        u = rng.randrange(n - 1)
+        present.add((u, rng.randrange(u + 1, n)))
+    # a set gives the edges in no fixed order; from_edges sorts every list
+    return LabeledDag.from_edges(n, present)
 
 
 def random_ordered_labels(

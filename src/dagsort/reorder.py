@@ -11,6 +11,9 @@ which ``raise_label_via_reversal`` implements as a cross-check.
 A sift records its walk in two plain lists, ``path`` (the vertices the
 sifted label visits, from the starting vertex to where it settles) and
 ``moved`` (the label each exchange displaced), one append to each per swap.
+An exchange writes only the displaced label, into the vertex the sifted
+label leaves; the sifted label is written once, where it settles. No scan
+reads the stale label left behind: that would take a cycle in the DAG.
 Everything in the package reads those two lists: the queue and the sort
 drivers only the terminal vertex, ``format_trace``, the DOT renderer and the
 ``golden-trace`` verify suite the whole walk. The two lists fix every
@@ -126,30 +129,29 @@ def lower_label(
 
     labels = g.labels
     prev_adj = g.prev_adj
-    labels[v] = new_label
     current = v
     comparisons = 0
     path = [v]
     moved: list[Label] = []
     while True:
         # seeding the scan with the sifted label and moving only on a strict
-        # rise lands on the largest violating label at its smallest id
+        # rise lands on the largest violating label at its smallest id; the
+        # seed object survives the scan only when nothing violates
         prev = prev_adj[current]
         comparisons += len(prev)
-        u = current
         displaced = new_label
         for w in prev:
             lw = labels[w]
             if lw > displaced:
                 u = w
                 displaced = lw
-        if u == current:
+        if displaced is new_label:
             break
         labels[current] = displaced
-        labels[u] = new_label
         path.append(u)
         moved.append(displaced)
         current = u
+    labels[current] = new_label
     if counter is not None:
         counter.count += comparisons
     return ExchangeTrace(path, moved)
@@ -174,7 +176,6 @@ def raise_label(
 
     labels = g.labels
     next_adj = g.next_adj
-    labels[v] = new_label
     current = v
     comparisons = 0
     path = [v]
@@ -182,20 +183,19 @@ def raise_label(
     while True:
         nxt = next_adj[current]
         comparisons += len(nxt)
-        u = current
         displaced = new_label
         for w in nxt:
             lw = labels[w]
             if lw < displaced:
                 u = w
                 displaced = lw
-        if u == current:
+        if displaced is new_label:
             break
         labels[current] = displaced
-        labels[u] = new_label
         path.append(u)
         moved.append(displaced)
         current = u
+    labels[current] = new_label
     if counter is not None:
         counter.count += comparisons
     return ExchangeTrace(path, moved)

@@ -9,7 +9,8 @@ hypercube:K subsets of a K-element universe ordered by single-bit insertion
 Each family is one ``Topology`` subclass that owns its shape: ``str(t)`` is
 its spec, ``t.capacity`` its vertex count, ``t.stats()`` its closed-form
 ``DagStats``. A member checks its parameters when it is made (``ValueError``
-out of range, ``OverflowError`` above ``MAX_VERTICES``), so each can be built.
+out of range, ``OverflowError`` above ``MAX_VERTICES`` vertices or above
+``MAX_ENTRIES`` vertices plus edges), so each can be built.
 
 Every family is graded: each edge moves exactly one BFS layer away from the
 source, so layer order equals distance order.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 from .analysis import DagStats
-from .dag import MAX_DIMS, MAX_VERTICES, LabeledDag
+from .dag import MAX_DIMS, MAX_ENTRIES, MAX_VERTICES, LabeledDag
 from .errors import MultipleSourcesError
 
 
@@ -30,8 +31,9 @@ class Topology:
     """A family member: a frozen dataclass whose fields are the spec's
     parameters, each at least its entry in ``least``. A family defines
     ``kind``, ``capacity``, ``successors(ids)`` (ascending out-neighbour
-    lists, vertex 0 the only source, entries taken from ``ids``) and
-    ``_path_and_degrees()`` (L, max in- and out-degree for n >= 2)."""
+    lists, vertex 0 the only source, entries taken from ``ids``),
+    ``_path_and_degrees()`` (L, max in- and out-degree for n >= 2) and,
+    unless it is a tree with n - 1 edges, ``_edges()`` (the edge count)."""
 
     kind: ClassVar[str]
     least: ClassVar[tuple[int, ...]]
@@ -43,9 +45,15 @@ class Topology:
             raise ValueError(f"{self}: need {need}")
         if self._over_cap():
             raise OverflowError(f"{self} exceeds {MAX_VERTICES} vertices")
+        n, m = self.capacity, self._edges()
+        if n + m > MAX_ENTRIES:
+            raise OverflowError(f"{self}: {n} vertices plus {m} edges exceed {MAX_ENTRIES}")
 
     def _over_cap(self) -> bool:
         return self.capacity > MAX_VERTICES
+
+    def _edges(self) -> int:
+        return self.capacity - 1
 
     def __str__(self) -> str:
         return ":".join([self.kind, *map(str, vars(self).values())])
@@ -109,6 +117,9 @@ class YoungGrid(Topology):
     def _path_and_degrees(self) -> tuple[int, int, int]:
         return self.dims * (self.side - 1), self.dims, self.dims
 
+    def _edges(self) -> int:
+        return self.capacity * self.dims * (self.side - 1) // self.side
+
     def _over_cap(self) -> bool:
         # side**dims is not made when dims alone puts it past the cap
         return self.side > 1 and (self.dims > MAX_DIMS or self.capacity > MAX_VERTICES)
@@ -141,6 +152,9 @@ class Hypercube(Topology):
 
     def _path_and_degrees(self) -> tuple[int, int, int]:
         return self.dims, self.dims, self.dims
+
+    def _edges(self) -> int:
+        return self.capacity * self.dims // 2
 
     def _over_cap(self) -> bool:
         return self.dims > MAX_DIMS

@@ -276,6 +276,30 @@ def test_trace_out_directory(tmp_path, capsys):
     assert "".join((out_dir / name).read_text() for name in files) == GOLDEN_DOT
 
 
+def test_trace_out_directory_holds_only_the_last_sift(tmp_path, capsys):
+    """A shorter sift written over a longer one leaves exactly its own
+    snapshots; files not named ``sift_<digits>.dot`` are left alone."""
+    out_dir = tmp_path / "snaps"
+    out_dir.mkdir()
+    others = {"notes.txt": "keep", "sift_x.dot": "keep", "sift_001.txt": "keep"}
+    for name, text in others.items():
+        (out_dir / name).write_text(text)
+    argv = ["trace", "--input", DEMO_FIXTURE, "--vertex", "9"]
+    rc, _, _ = run_cli([*argv, "--new-label", "3", "--out", str(out_dir)], capsys=capsys)
+    assert rc == 0 and (out_dir / "sift_005.dot").exists()
+    rc, expected, _ = run_cli([*argv, "--new-label", "9"], capsys=capsys)
+    assert rc == 0
+    rc, out, err = run_cli([*argv, "--new-label", "9", "--out", str(out_dir)], capsys=capsys)
+    assert (rc, out) == (0, "")
+    count = expected.count("digraph")
+    assert 0 < count < 6 and err == f"wrote {count} snapshots to {out_dir}\n"
+    snaps = [f"sift_{i:03d}.dot" for i in range(count)]
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*snaps, *others])
+    assert "".join((out_dir / name).read_text() for name in snaps) == expected
+    for name, text in others.items():
+        assert (out_dir / name).read_text() == text
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_trace_output_ignores_edge_line_order(seed, tmp_path, capsys):
     """The DOT edge block and the sift follow the sorted adjacency, not the
@@ -343,6 +367,31 @@ def test_trace_oversized_header_exits_2(tmp_path, capsys):
         assert rc == 2, header
         assert out == ""
         assert err.startswith("error:") and "exceeds 16777216" in err
+
+
+def test_bench_topology_over_budget_exits_2(capsys):
+    """A family whose closed-form n + m exceeds 2**22 is refused before it
+    is built: ``hypercube:19`` would build about 5.5 million entries."""
+    for spec, n, m in (
+        ("hypercube:19", 524288, 4980736),
+        ("path:2097153", 2097153, 2097152),
+    ):
+        tracemalloc.start()
+        try:
+            rc, out, err = run_cli(["bench", "--topology", spec], capsys=capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (rc, out) == (2, "")
+        assert err == f"error: {spec}: {n} vertices plus {m} edges exceed 4194304\n"
+        assert peak < 1 << 20, (spec, peak)
+
+
+def test_bare_hypercube_sort_over_budget_exits_2(monkeypatch, capsys):
+    """One value past 2**18 needs ``hypercube:19``, which is over budget."""
+    rc, out, err = run_cli(["sort"], "1 " * (262144 + 1), monkeypatch, capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: hypercube:19: 524288 vertices plus 4980736 edges exceed 4194304\n"
 
 
 def test_trace_header_over_budget_exits_2(tmp_path, capsys):

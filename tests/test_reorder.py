@@ -92,6 +92,36 @@ def test_next_selector_mirror():
     assert c.count == 6
 
 
+BIG = int("1" + "0" * 20)
+
+
+@pytest.mark.parametrize(
+    "sift, labels, v, new",
+    [
+        # the neighbour holds the very object being sifted (a cached small int)
+        (lower_label, [1, 4, 5, 9], 3, 5),
+        # an equal big int that is a distinct object: equal, yet not identical
+        (lower_label, [1, 4, BIG, BIG + 1], 3, int("1" + "0" * 20)),
+        # raising to INF where every next neighbour already holds INF
+        (raise_label, [0, INF, INF, INF], 0, INF),
+    ],
+    ids=["same-object", "distinct-equal-bigint", "raise-to-inf"],
+)
+def test_sift_stops_on_an_equal_extreme_neighbour(sift, labels, v, new):
+    """A tie with the extreme neighbour is no violation: the sift makes no
+    exchange, writes the new label where it started, and still pays for
+    the one scan."""
+    g = LabeledDag.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    g.labels[:] = labels
+    adj = g.prev_adj if sift is lower_label else g.next_adj
+    c = ComparisonCounter()
+    trace = sift(g, v, new, c)
+    assert len(trace) == 0 and trace.path == [v]
+    assert g.labels[v] == new and g.labels[v] is new
+    assert g.labels == [*labels[:v], new, *labels[v + 1 :]]
+    assert c.count == len(adj[v]) == 2
+
+
 @given(ordered_dags(infinity_tail=True), st.data())
 def test_selectors_match_oracle(g, data):
     """Every step of either sift goes where the oracle selector points, and

@@ -130,14 +130,6 @@ def test_parse_and_format_round_trip():
         assert str(parse_topology(spec)) == spec
 
 
-@pytest.mark.parametrize(
-    "spec", ["star:0", "path:-1", "grid:2", "grid:x:3", "hypercube", "ring:5", "star:a"]
-)
-def test_parse_rejects_bad_specs(spec):
-    with pytest.raises(ValueError):
-        parse_topology(spec)
-
-
 PARSE_FAULTS = [
     ("star:0", ValueError, "star:0: need n >= 1"),
     ("path:-1", ValueError, "path:-1: need n >= 1"),
@@ -157,6 +149,16 @@ PARSE_FAULTS = [
     ("hypercube:25", OverflowError, "hypercube:25 exceeds 16777216 vertices"),
     ("grid:10000000:2", OverflowError, "grid:10000000:2 exceeds 16777216 vertices"),
     ("hypercube:10000000", OverflowError, "hypercube:10000000 exceeds 16777216 vertices"),
+]
+# members under the vertex cap whose n + m passes the shared entry budget
+PARSE_FAULTS += [
+    (spec, OverflowError, f"{spec}: {n} vertices plus {m} edges exceed 4194304")
+    for spec, n, m in (
+        ("hypercube:19", 524288, 4980736),
+        ("path:2097153", 2097153, 2097152),
+        ("star:16777216", 16777216, 16777215),
+        ("grid:2:1183", 1399489, 2796612),
+    )
 ]
 
 
@@ -212,8 +214,32 @@ def test_cap_refused_before_the_capacity_is_computed():
 
     for spec in ("grid:10000000:2", "hypercube:10000000"):
         assert peak_bytes(lambda: refuse(spec)) < 64 * 1024
-    assert parse_topology("grid:24:2").capacity == 16777216
-    assert parse_topology("hypercube:24").capacity == 16777216
+    # at the vertex cap, the edges put both past the n + m budget
+    for spec in ("grid:24:2", "hypercube:24"):
+        message = f"{spec}: 16777216 vertices plus 201326592 edges exceed 4194304"
+        with pytest.raises(OverflowError) as info:
+            parse_topology(spec)
+        assert str(info.value) == message
+
+
+def test_entry_budget_boundary():
+    """The largest members under the n + m budget are still accepted."""
+    for spec, n in (
+        ("hypercube:18", 1 << 18),
+        ("path:2097152", 2097152),
+        ("grid:2:1182", 1182**2),
+    ):
+        assert parse_topology(spec).capacity == n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["star:1", "star:7", "path:1", "path:9", "grid:0:4", "grid:1:5", "grid:3:4",
+     "grid:4:1", "hypercube:0", "hypercube:1", "hypercube:7"],
+)
+def test_closed_form_edge_count_matches_the_build(spec):
+    t = parse_topology(spec)
+    assert t._edges() == sum(map(len, build(t).next_adj))
 
 
 def test_bfs_order_small_families():
