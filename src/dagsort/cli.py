@@ -13,6 +13,7 @@ import random
 import re
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
@@ -31,6 +32,8 @@ from .topologies import Hypercube, Topology, build, order_for, parse_topology
 from .tracefmt import dot_snapshots
 
 PATTERNS = ("random", "sorted", "reverse", "equal")
+_READ_CHUNK = 1 << 20  # characters per read of `sort` input
+_LARGEST_CUBE = 1 << 18  # hypercube:18 is the largest cube within MAX_ENTRIES
 
 
 def make_pattern(pattern: str, n: int, rng: random.Random) -> list[int]:
@@ -45,31 +48,46 @@ def make_pattern(pattern: str, n: int, rng: random.Random) -> list[int]:
     raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def _read_values(path: str) -> list[int]:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return list(map(int, text.split()))
+def _read_values(path: str, limit: int) -> tuple[list[int], bool]:
+    """The integers of a file, or of stdin for "-", read a chunk at a time
+    until the input ends or more than ``limit`` are held. The flag says
+    whether the input ended, so that the list holds all of it."""
+    values: list[int] = []
+    cut = ""  # the start of a token the last chunk ended inside
+    with open(path) if path != "-" else nullcontext(sys.stdin) as stream:
+        while True:
+            chunk = stream.read(_READ_CHUNK)
+            ended = len(chunk) < _READ_CHUNK
+            words = (cut + chunk).split()
+            cut = "" if ended or chunk[-1].isspace() else words.pop()
+            values += map(int, words)
+            if ended or len(values) > limit:
+                return values, ended
+            if len(cut) > _READ_CHUNK:
+                raise ValueError(f"a value longer than {_READ_CHUNK} characters")
 
 
 def cmd_sort(args) -> int:
     try:
-        values = _read_values(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.topology == "hypercube":
-            # bare family name: auto-size to the input
+            t, limit = None, _LARGEST_CUBE  # bare family name: auto-size to the input
+        else:
+            t = parse_topology(args.topology)
+            limit = t.capacity
+        values, ended = _read_values(args.input, limit)
+        if t is None:
+            if not ended:
+                raise OverflowError(f"more than {limit} values")
             t = Hypercube.fitting(len(values))
             report = hypercube_sort(values)
         else:
-            t = parse_topology(args.topology)
-            n = t.capacity
-            if len(values) != n:  # refuse before build allocates n vertices
-                raise SizeMismatchError(f"{len(values)} values for {n} vertices")
+            if not ended:
+                raise SizeMismatchError(f"more than {limit} values")
+            if len(values) != limit:  # refuse before build allocates the vertices
+                raise SizeMismatchError(f"{len(values)} values for {limit} vertices")
             g = build(t)
             report = dag_sort(g, values, order=order_for(t, g))
-    except (ValueError, OverflowError) as exc:
+    except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SizeMismatchError as exc:

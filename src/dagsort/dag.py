@@ -13,6 +13,7 @@ DAG text is refused from its header when n + m exceeds ``MAX_ENTRIES``.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -169,7 +170,7 @@ def parse_dag_text(text: str) -> LabeledDag:
     optional ``labels:`` marker followed by n label tokens ("inf" allowed).
     Multi-root inputs are accepted; cycles are not.
     """
-    tokens = text.split()
+    tokens = text.split(None, 2)[:2]
     if len(tokens) < 2:
         raise ValueError("expected 'n m' header")
     try:
@@ -183,6 +184,8 @@ def parse_dag_text(text: str) -> LabeledDag:
     if max(n, 0) + m > MAX_ENTRIES:
         raise ValueError(f"{n} vertices plus {m} edges exceed {MAX_ENTRIES}")
     pos = 2 + 2 * m
+    # no further than the declared tokens; one string holds whatever follows
+    tokens = text.split(None, pos + 1 + max(n, 0))
     if len(tokens) < pos:
         raise ValueError(f"expected {m} edges, input ends early")
     try:
@@ -195,7 +198,10 @@ def parse_dag_text(text: str) -> LabeledDag:
             raise ValueError(f"unexpected token {tokens[pos]!r}")
         labels = tokens[pos + 1 :]
         if len(labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(labels)}")
+            got = len(labels)
+            if got > n:  # the last entry is the unsplit rest: count, not split, it
+                got = n + sum(1 for _ in re.finditer(r"\S+", labels[-1]))
+            raise ValueError(f"expected {n} labels, got {got}")
         convert = parse_label if "inf" in labels else int
         try:
             g.labels[:] = map(convert, labels)

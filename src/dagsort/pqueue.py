@@ -6,9 +6,9 @@ The ordered property makes the source the minimum. Inserting lowers a free
 slot's label into place; remove-min raises the source's label to INF. Free
 slots are handed out by ascending position in the insertion order (a BFS
 order of the DAG), so a fresh queue fills layer by layer. The heap of free
-positions is lazy: it may hold positions whose vertex has since taken a
-finite label, and those are skipped when popped. Only remove-min grows it,
-so there it is rebuilt from the free vertices once it holds more than 2n.
+positions is lazy: it holds every free position plus stale ones whose vertex
+has since filled. Insert pops only positions whose vertex is filled, so only
+remove-min grows the heap, and there it is rebuilt past 2n entries.
 """
 
 from __future__ import annotations
@@ -65,15 +65,6 @@ class OrderedDagQueue:
     def __len__(self) -> int:
         return self.occupied
 
-    def _pop_free_vertex(self) -> int:
-        # lazy deletion: positions whose vertex has since filled are skipped
-        labels = self.dag.labels
-        while self._free_positions:
-            v = self._order[heapq.heappop(self._free_positions)]
-            if labels[v] == INF:
-                return v
-        raise FullQueueError("no free slot available")
-
     def insert(self, label: Label) -> int:
         """Place a finite label at the first free slot and sift; returns the
         vertex where the label settled."""
@@ -81,14 +72,14 @@ class OrderedDagQueue:
             raise NonFiniteLabelError(f"cannot insert {label!r}")
         if self.occupied >= self.dag.n:
             raise FullQueueError("queue is full")
-        v = self._pop_free_vertex()
+        labels, order, heap = self.dag.labels, self._order, self._free_positions
+        # pop only positions whose vertex is filled: only remove_min grows heap
+        while labels[order[heap[0]]] != INF:
+            heapq.heappop(heap)
+        v = order[heap[0]]
         trace = lower_label(self.dag, v, label, self.counter)
-        if self.dag.labels[v] == INF:
-            # The sift pulled an INF down from a previous neighbour, so v is
-            # still free. Such steps form a prefix of the sift path (the INF
-            # vertices are closed under successors), and every other vertex
-            # they leave at INF was already free and queued.
-            heapq.heappush(self._free_positions, self._position[v])
+        if labels[v] != INF:  # else the sift pulled an INF down into v
+            heapq.heappop(heap)
         self.occupied += 1
         return trace.terminal_vertex
 
@@ -116,7 +107,8 @@ class OrderedDagQueue:
         is still in the free heap."""
         if not is_finite_label(new_label):
             raise NonFiniteLabelError(f"cannot lower to {new_label!r}")
-        was_free = self.dag.labels[v] == INF
+        # an out-of-range v is refused by lower_label before anything changes
+        was_free = 0 <= v < self.dag.n and self.dag.labels[v] == INF
         trace = lower_label(self.dag, v, new_label, self.counter)
         if was_free:
             self.occupied += 1

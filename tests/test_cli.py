@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from dagsort import cli, demo
+from dagsort import Hypercube, cli, demo
 from dagsort.analysis import hypercube_worst_case_closed
 
 REPO = Path(__file__).resolve().parent.parent
@@ -104,6 +104,49 @@ def test_sort_bad_topology_exits_2(monkeypatch, capsys):
         rc, out, _ = run_cli(["sort", "--topology", spec], "1", monkeypatch, capsys)
         assert rc == 2, spec
         assert out == ""
+
+
+class EndlessStdin:
+    """A stdin that never ends: each read serves as many characters as asked,
+    cut from ``unit`` repeated, and counts them."""
+
+    def __init__(self, unit):
+        self.unit, self.served = unit, 0
+
+    def read(self, size):
+        self.served += size
+        return (self.unit * (size // len(self.unit) + 1))[:size]
+
+
+def test_sort_refuses_endless_input_after_reading_a_bound(monkeypatch, capsys):
+    """More values than the topology holds are refused as soon as a read
+    brings them, without reading on to an end that may never come; so is a
+    value longer than a read."""
+    assert Hypercube(18).capacity == 1 << 18  # the bare family's limit
+    with pytest.raises(OverflowError):
+        Hypercube(19)
+    cases = (
+        (["sort", "--topology", "path:4"], "1\n", 3, "more than 4 values", 1),
+        (["sort"], "1 ", 2, "more than 262144 values", 1),
+        (["sort"], "1", 2, "a value longer than 1048576 characters", 2),
+    )
+    for argv, unit, code, message, reads in cases:
+        stdin = EndlessStdin(unit)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert cli.main(argv) == code, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert stdin.served == reads << 20
+
+
+@pytest.mark.parametrize("token, count", [("12345 ", 200_000), ("1234567\n", 262_144)])
+def test_sort_input_is_read_across_chunk_ends(tmp_path, token, count):
+    """A 1 MiB read ends inside a 6-character token, or right after the
+    whitespace of an 8-character one, whose input is exactly 2 MiB long."""
+    src = tmp_path / "values.txt"
+    src.write_text(token * count)
+    assert cli._read_values(str(src), count) == ([int(token)] * count, True)
+    # ended only when the input did, so a bound reached first is not exact
+    assert cli._read_values(str(src), 1000)[1] is False
 
 
 def test_sort_reads_input_file(tmp_path, capsys):

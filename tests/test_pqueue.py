@@ -219,6 +219,41 @@ def test_non_graded_dag_keeps_bookkeeping_exact():
     assert [q.remove_min() for _ in range(3)] == [5, 7, 10]
 
 
+def test_insert_that_pulls_inf_down_keeps_its_slot_first(monkeypatch):
+    # vertex 1's previous neighbours are 0 and the INF at 2, so inserting at 1
+    # swaps that INF into 1: the position of 1 stays first in the free heap
+    g = LabeledDag.from_edges(3, [(0, 1), (0, 2), (2, 1)])
+    q = OrderedDagQueue(g)
+    starts = []
+
+    def recording(dag, v, new_label, counter=None):
+        starts.append(v)
+        return lower_label(dag, v, new_label, counter)
+
+    monkeypatch.setattr("dagsort.pqueue.lower_label", recording)
+    q.insert(10)
+    assert q.insert(5) == 0
+    assert q.dag.labels == [5, INF, 10]
+    assert q._order[q._free_positions[0]] == 1
+    assert sorted(q._free_positions) == [1, 2]  # 2 is stale: its vertex filled
+    assert q.insert(7) == 2
+    assert starts == [0, 1, 1]
+    assert q._free_positions == [2]
+
+
+def test_targeted_calls_refuse_out_of_range_vertices():
+    q = fresh_queue("star:4")
+    q.insert(3)
+    q.insert(5)
+    before = list(q.dag.labels), len(q), q.counter.count
+    for v in (4, -1):
+        for method in (q.lower_label_at, q.raise_label_at):
+            with pytest.raises(IndexError) as exc:
+                method(v, 1)
+            assert str(exc.value) == f"vertex {v} out of range"
+            assert (q.dag.labels, len(q), q.counter.count) == before
+
+
 def test_heap_order_soundness_under_random_ops():
     rng = random.Random(99)
     for spec in FAMILIES:
@@ -363,17 +398,44 @@ class NeverRebuilt(OrderedDagQueue):
         return smallest
 
 
+class PopAndRepush(OrderedDagQueue):
+    """insert as first written: pop the first free position, and push it back
+    when the sift pulled an INF down into that vertex, leaving it free."""
+
+    def insert(self, label):
+        if self.occupied >= self.dag.n:
+            raise FullQueueError("queue is full")
+        labels, heap = self.dag.labels, self._free_positions
+        v = self._order[heapq.heappop(heap)]
+        while labels[v] != INF:
+            v = self._order[heapq.heappop(heap)]
+        trace = lower_label(self.dag, v, label, self.counter)
+        if labels[v] == INF:
+            heapq.heappush(heap, self._position[v])
+        self.occupied += 1
+        return trace.terminal_vertex
+
+
 def test_free_slot_heap_stays_within_twice_capacity():
     """An insert on a non-graded DAG can leave a stale free position behind,
     and so can lowering a free slot in place, so the lazy heap grew without
     bound: 70 440 entries after these 200 000 calls. It now holds at most
     2n. A twin queue that never drops a position settles every value on the
     same vertex, pops the same minima and counts the same comparisons,
-    through 20 000 calls and then a fill that takes every free slot."""
+    through 20 000 calls and then a fill that takes every free slot. So does
+    a twin whose insert pops its first free position and pushes it back
+    when the sift leaves that vertex free, and its heap holds as many."""
     rng = random.Random(512)
     n = 512
     g = random_single_source_dag(rng, n)
     q, lazy = OrderedDagQueue(g), NeverRebuilt(g.copy())
+    repush = PopAndRepush(g.copy())
+
+    def same_as_repush(queues):
+        if repush in queues:
+            assert repush.dag.labels == q.dag.labels
+            assert (len(repush), repush.counter.count) == (len(q), q.counter.count)
+            assert len(repush._free_positions) == len(q._free_positions)
 
     def churn(queues, calls):
         for _ in range(calls):
@@ -388,11 +450,14 @@ def test_free_slot_heap_stays_within_twice_capacity():
             else:
                 assert len({queue.remove_min() for queue in queues}) == 1
             assert len(q._free_positions) <= 2 * n
+            same_as_repush(queues)
 
-    churn([q, lazy], 20_000)
+    churn([q, lazy, repush], 20_000)
     assert len(lazy._free_positions) > 2 * n  # so q has dropped some
+    assert sorted(repush._free_positions) == sorted(q._free_positions)
     for x in range(n - len(q)):
-        assert q.insert(x) == lazy.insert(x)
+        assert q.insert(x) == lazy.insert(x) == repush.insert(x)
+        same_as_repush([repush])
     assert q.dag.labels == lazy.dag.labels
     assert q.counter.count == lazy.counter.count
     churn([q], 180_000 - n)
