@@ -23,7 +23,7 @@ from .analysis import (
     hypercube_worst_case_closed,
     stats,
 )
-from .dag import INF, format_label, parse_dag_text
+from .dag import INF, MAX_DIMS, MAX_ENTRIES, format_label, parse_dag_text
 from .errors import CycleError, SizeMismatchError
 from .random_dags import random_ordered_labels, random_single_source_dag
 from .reorder import format_trace, lower_label, raise_label, raise_label_via_reversal
@@ -33,7 +33,8 @@ from .tracefmt import dot_snapshots
 
 PATTERNS = ("random", "sorted", "reverse", "equal")
 _READ_CHUNK = 1 << 20  # characters per read of `sort` input
-_LARGEST_CUBE = 1 << 18  # hypercube:18 is the largest cube within MAX_ENTRIES
+# the largest cube within MAX_ENTRIES: hypercube:k has 2^(k-1)*(k+2) vertices plus edges
+_LARGEST_CUBE = 1 << max(k for k in range(MAX_DIMS + 1) if (k + 2) << k <= 2 * MAX_ENTRIES)
 
 
 def make_pattern(pattern: str, n: int, rng: random.Random) -> list[int]:

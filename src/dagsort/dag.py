@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import CycleError, MultipleSourcesError
 
@@ -53,6 +53,8 @@ class LabeledDag:
     ``prev_adj[v]`` and ``next_adj[v]`` list in- and out-neighbours in
     ascending vertex order; they always mirror each other. ``source`` is the
     designated in-degree-0 vertex (the lowest-indexed one when several exist).
+    Adjacency is fixed once a DAG is made, and ``max_in_degree`` and
+    ``max_out_degree`` are derived from it then.
     """
 
     n: int
@@ -60,6 +62,12 @@ class LabeledDag:
     next_adj: list[list[int]]
     labels: list[Label]
     source: int
+    max_in_degree: int = field(init=False, compare=False, repr=False)
+    max_out_degree: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.max_in_degree = max(map(len, self.prev_adj), default=0)
+        self.max_out_degree = max(map(len, self.next_adj), default=0)
 
     @classmethod
     def from_successors(cls, next_adj: list[list[int]]) -> "LabeledDag":

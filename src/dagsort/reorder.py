@@ -3,10 +3,12 @@
 Lowering a label walks it toward the source, repeatedly swapping with the
 largest violating previous neighbour; raising mirrors that toward the sinks
 with the smallest violating next neighbour. Each direction is one
-self-contained loop that scans the neighbourhood inline, ties going to the
-smallest vertex id (the first in the ascending adjacency list). Raising can
-also be phrased as lowering the negated label on the edge-reversed DAG,
-which ``raise_label_via_reversal`` implements as a cross-check.
+self-contained kernel that scans the neighbourhood inline, ties going to the
+smallest vertex id (the first in the ascending adjacency list); where no
+vertex has two neighbours on the scan side, it follows the one edge.
+Raising can also be phrased as lowering the negated label on the
+edge-reversed DAG, which ``raise_label_via_reversal`` implements as a
+cross-check.
 
 A sift records its walk in two plain lists, ``path`` (the vertices the
 sifted label visits, from the starting vertex to where it settles) and
@@ -23,8 +25,10 @@ a caller outside the package reads ``ExchangeTrace.steps``.
 
 Cost model: selecting among a vertex's m previous (or next) neighbours costs
 exactly m label comparisons when m >= 1 (m - 1 to find the extreme neighbour
-plus one violation test) and 0 when m = 0. A sift adds its total to the
-counter once, when it ends. Every count in the package is in these units.
+plus one violation test) and 0 when m = 0. A one-neighbour step is that
+single comparison with no scan, taken on any tree when lowering (star,
+path) and on a chain when raising. A sift adds its total to the counter
+once, when it ends. Every count in the package is in these units.
 """
 
 from __future__ import annotations
@@ -130,27 +134,39 @@ def lower_label(
     labels = g.labels
     prev_adj = g.prev_adj
     current = v
-    comparisons = 0
     path = [v]
     moved: list[Label] = []
-    while True:
-        # seeding the scan with the sifted label and moving only on a strict
-        # rise lands on the largest violating label at its smallest id; the
-        # seed object survives the scan only when nothing violates
-        prev = prev_adj[current]
-        comparisons += len(prev)
-        displaced = new_label
-        for w in prev:
-            lw = labels[w]
-            if lw > displaced:
-                u = w
-                displaced = lw
-        if displaced is new_label:
-            break
-        labels[current] = displaced
-        path.append(u)
-        moved.append(displaced)
-        current = u
+    if g.max_in_degree < 2:  # a tree: follow the one previous neighbour, no scan
+        while one := prev_adj[current]:
+            u = one[0]
+            displaced = labels[u]
+            if not displaced > new_label:
+                break
+            labels[current] = displaced
+            path.append(u)
+            moved.append(displaced)
+            current = u
+        comparisons = len(moved) + len(prev_adj[current])
+    else:
+        comparisons = 0
+        while True:
+            # seeding the scan with the sifted label and moving only on a strict
+            # rise lands on the largest violating label at its smallest id; the
+            # seed object survives the scan only when nothing violates
+            prev = prev_adj[current]
+            comparisons += len(prev)
+            displaced = new_label
+            for w in prev:
+                lw = labels[w]
+                if lw > displaced:
+                    u = w
+                    displaced = lw
+            if displaced is new_label:
+                break
+            labels[current] = displaced
+            path.append(u)
+            moved.append(displaced)
+            current = u
     labels[current] = new_label
     if counter is not None:
         counter.count += comparisons
@@ -177,24 +193,36 @@ def raise_label(
     labels = g.labels
     next_adj = g.next_adj
     current = v
-    comparisons = 0
     path = [v]
     moved: list[Label] = []
-    while True:
-        nxt = next_adj[current]
-        comparisons += len(nxt)
-        displaced = new_label
-        for w in nxt:
-            lw = labels[w]
-            if lw < displaced:
-                u = w
-                displaced = lw
-        if displaced is new_label:
-            break
-        labels[current] = displaced
-        path.append(u)
-        moved.append(displaced)
-        current = u
+    if g.max_out_degree < 2:  # a chain: follow the one next neighbour, no scan
+        while one := next_adj[current]:
+            u = one[0]
+            displaced = labels[u]
+            if not displaced < new_label:
+                break
+            labels[current] = displaced
+            path.append(u)
+            moved.append(displaced)
+            current = u
+        comparisons = len(moved) + len(next_adj[current])
+    else:
+        comparisons = 0
+        while True:
+            nxt = next_adj[current]
+            comparisons += len(nxt)
+            displaced = new_label
+            for w in nxt:
+                lw = labels[w]
+                if lw < displaced:
+                    u = w
+                    displaced = lw
+            if displaced is new_label:
+                break
+            labels[current] = displaced
+            path.append(u)
+            moved.append(displaced)
+            current = u
     labels[current] = new_label
     if counter is not None:
         counter.count += comparisons

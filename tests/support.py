@@ -183,16 +183,29 @@ def assert_adjacency_consistent(g: LabeledDag) -> None:
             assert v in g.prev_adj[u]
 
 
+SHAPES = ("dag", "tree", "chain")
+
+
 @st.composite
-def single_source_dags(draw, max_n: int = 20) -> LabeledDag:
+def single_source_dags(draw, max_n: int = 20, shapes=SHAPES) -> LabeledDag:
+    """One of three shapes: a ``dag`` gives each vertex past 0 a random
+    parent below it and adds random forward pairs; a ``tree`` keeps only the
+    parents, so no vertex has two previous neighbours; a ``chain`` strings
+    the vertices along one path in a random id order, so no vertex has two
+    neighbours on either side. Sifts follow edges without a scan where the
+    side they look at has one neighbour at most."""
+    shape = draw(st.sampled_from(shapes))
     n = draw(st.integers(min_value=1, max_value=max_n))
+    if shape == "chain":
+        ids = draw(st.permutations(range(n)))
+        return LabeledDag.from_edges(n, list(zip(ids, ids[1:])))
     edges = []
     present = set()
     for v in range(1, n):
         u = draw(st.integers(0, v - 1))
         edges.append((u, v))
         present.add((u, v))
-    if n >= 2:
+    if n >= 2 and shape == "dag":
         extra = draw(
             st.lists(
                 st.tuples(st.integers(0, n - 2), st.integers(1, n - 1)),

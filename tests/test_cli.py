@@ -122,7 +122,7 @@ def test_sort_refuses_endless_input_after_reading_a_bound(monkeypatch, capsys):
     """More values than the topology holds are refused as soon as a read
     brings them, without reading on to an end that may never come; so is a
     value longer than a read."""
-    assert Hypercube(18).capacity == 1 << 18  # the bare family's limit
+    assert cli._LARGEST_CUBE == Hypercube(18).capacity == 1 << 18  # the bare family's limit
     with pytest.raises(OverflowError):
         Hypercube(19)
     cases = (

@@ -31,7 +31,7 @@ from dagsort import (
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_single_source_dag
 
-from support import finite_multiset
+from support import finite_multiset, single_source_dags
 
 FAMILIES = ("star:8", "path:8", "grid:2:3", "hypercube:3")
 
@@ -327,18 +327,27 @@ def test_interface_algebra_against_multiset_oracle():
 
 @settings(max_examples=300)
 @given(
-    st.integers(0, 2**32 - 1),
-    st.integers(1, 12),
-    st.integers(0, 40),
+    st.one_of(
+        st.builds(
+            random_single_source_dag,
+            st.integers(0, 2**32 - 1).map(random.Random),
+            st.integers(1, 12),
+            st.integers(0, 40),
+        ),
+        single_source_dags(max_n=12, shapes=("tree", "chain")),
+    ),
     st.lists(
         st.tuples(st.sampled_from("IIILGRU"), st.integers(-30, 30), st.integers(0, 99)),
         max_size=40,
     ),
 )
-def test_queue_fuzz_on_non_graded_dags(seed, n, extra, ops):
+def test_queue_fuzz_on_non_graded_dags(g, ops):
     """All five operations on random DAGs whose BFS order need not be
-    topological, so inserts can pull INF labels down into earlier slots."""
-    g = random_single_source_dag(random.Random(seed), n, extra_edges=extra)
+    topological, so inserts can pull INF labels down into earlier slots, and
+    on trees and chains, whose sifts follow single edges: there lowering a
+    free vertex pulls INF down from a free parent, and ``remove_min`` raises
+    INF along the chain."""
+    n = g.n
     q = OrderedDagQueue(g)
     position = {v: i for i, v in enumerate(bfs_order(g))}
     oracle = Counter()

@@ -23,8 +23,11 @@ from dagsort import (
     format_trace,
     hypercube_sort,
     lower_label,
+    parse_dag_text,
+    parse_topology,
     raise_label,
     raise_label_via_reversal,
+    topological_order,
 )
 from dagsort import cli, reorder
 from dagsort.demo import demo_dag
@@ -137,6 +140,10 @@ def test_selectors_match_oracle(g, data):
     else:
         new = INF if data.draw(st.booleans()) else old + data.draw(st.integers(1, 30))
         sift, oracle, adj = raise_label, oracle_smallest_violating_next, g.next_adj
+    # a label some vertex already holds makes the sifted one tie on the way
+    held = [x for x in g.labels if (x < old if lowering else x > old)]
+    if held and data.draw(st.booleans()):
+        new = data.draw(st.sampled_from(held))
     labels_before = list(g.labels)
     c = ComparisonCounter()
     trace = sift(g, v, new, c)
@@ -285,7 +292,7 @@ def test_sift_postconditions(g, data):
         trace = lower_label(g, v, new)
         path_bound = longest_path_ending_at(g)
     else:
-        new = old + data.draw(st.integers(1, 20))
+        new = INF if data.draw(st.booleans()) else old + data.draw(st.integers(1, 20))
         trace = raise_label(g, v, new)
         path_bound = longest_path_starting_at(g)
     assert g.is_ordered()
@@ -311,9 +318,116 @@ def test_sift_postconditions(g, data):
 def test_sift_cost_accounting(g, data):
     v = data.draw(st.integers(0, g.n - 1))
     c = ComparisonCounter()
-    trace = lower_label(g, v, g.labels[v] - data.draw(st.integers(1, 9)), c)
+    delta = data.draw(st.integers(1, 9))
+    if data.draw(st.booleans()):
+        trace, adj = lower_label(g, v, g.labels[v] - delta, c), g.prev_adj
+    else:
+        trace, adj = raise_label(g, v, g.labels[v] + delta, c), g.next_adj
     visited = [v] + [s.to_vertex for s in trace.steps]
-    assert c.count == sum(len(g.prev_adj[u]) for u in visited)
+    assert c.count == sum(len(adj[u]) for u in visited)
+
+
+class NoScan(list):
+    """An adjacency list that refuses to be iterated: a sift that scans it fails."""
+
+    def __iter__(self):
+        raise AssertionError("scanned a neighbourhood")
+
+
+@pytest.mark.parametrize("side", ["prev", "next"])
+@pytest.mark.parametrize(
+    "spec, one_prev, one_next",
+    [
+        ("star:8", True, False),
+        ("path:8", True, True),
+        ("grid:1:8", True, True),
+        ("grid:2:3", False, False),
+        ("hypercube:3", False, False),
+        ("dag40", False, False),
+    ],
+)
+def test_sift_form_follows_the_degree_maxima(spec, one_prev, one_next, side):
+    """A sift follows the one edge and scans nothing exactly when no vertex
+    has two neighbours on its side: trees when lowering, chains when
+    raising. Any other DAG takes the scan loop."""
+    if spec == "dag40":
+        g = parse_dag_text((FIXTURES / "dag40.dag").read_text())
+    else:
+        g = build(parse_topology(spec))
+    assert (g.max_in_degree < 2, g.max_out_degree < 2) == (one_prev, one_next)
+    order = topological_order(g)
+    for rank, v in enumerate(order):
+        g.labels[v] = rank
+    g.prev_adj[:] = map(NoScan, g.prev_adj)
+    g.next_adj[:] = map(NoScan, g.next_adj)
+    if side == "prev":
+        sift, v, new, follows = lower_label, order[-1], -1, one_prev
+    else:
+        sift, v, new, follows = raise_label, g.source, INF, one_next
+    if not follows:
+        with pytest.raises(AssertionError, match="scanned"):
+            sift(g, v, new)
+        return
+    c = ComparisonCounter()
+    trace = sift(g, v, new, c)
+    assert trace.terminal_vertex == (g.source if side == "prev" else order[-1])
+    assert g.labels[trace.terminal_vertex] == new
+    assert c.count == len(trace)  # one per step; none at the source or sink
+
+
+@pytest.mark.parametrize(
+    "spec, labels, sift, v, new, path, moved, count",
+    [
+        # INF pulled down from free parents, then a stop at a finite one
+        ("path:4", [1, INF, INF, INF], lower_label, 3, 5, [3, 2, 1], [INF, INF], 3),
+        # down to the source, which has no previous neighbour to compare
+        ("path:4", [1, 2, INF, INF], lower_label, 3, 0, [3, 2, 1, 0], [INF, 2, 1], 3),
+        ("star:4", [INF] * 4, lower_label, 2, 5, [2, 0], [INF], 1),
+        ("star:4", [1, 4, 7, 2], lower_label, 1, 3, [1], [], 1),
+        # raised to INF down the whole chain; the sink compares nothing
+        ("path:4", [1, 2, 3, 4], raise_label, 0, INF, [0, 1, 2, 3], [2, 3, 4], 3),
+        ("path:4", [1, 2, INF, INF], raise_label, 0, INF, [0, 1], [2], 2),
+        # a tie with the one neighbour is no violation
+        ("path:4", [1, 2, 3, 4], raise_label, 1, 3, [1], [], 1),
+    ],
+)
+def test_one_neighbour_steps_move_inf_and_pay_one_comparison(
+    spec, labels, sift, v, new, path, moved, count
+):
+    g = build(parse_topology(spec))
+    g.labels[:] = labels
+    twin = g.copy()
+    c = ComparisonCounter()
+    trace = sift(g, v, new, c)
+    assert (trace.path, trace.moved, c.count) == (path, moved, count)
+    assert g.is_ordered()
+    if sift is raise_label:
+        assert raise_label_via_reversal(twin, v, new) == trace and twin.labels == g.labels
+
+
+def test_degree_maxima_are_derived_and_left_out_of_eq_and_repr(monkeypatch):
+    """The maxima the sift form reads are made from the adjacency by every
+    constructor, never copied, and take no part in ``==`` or ``repr``."""
+    single = LabeledDag.from_edges(1, [])
+    assert (single.max_in_degree, single.max_out_degree) == (0, 0)
+    g = build(Star(8))
+    assert (g.max_in_degree, g.max_out_degree) == (1, 7)
+    assert "max_" not in repr(g)
+    g.max_in_degree = g.max_out_degree = 99  # stale, as if adjacency changed
+    assert g == build(Star(8))
+    twin = g.copy()
+    assert (twin.max_in_degree, twin.max_out_degree) == (1, 7)
+    views = []
+    real = reorder.lower_label
+
+    def spy(view, *args):
+        views.append(view)
+        return real(view, *args)
+
+    monkeypatch.setattr(reorder, "lower_label", spy)
+    g.labels[:] = range(8)
+    raise_label_via_reversal(g, 0, INF)
+    assert (views[0].max_in_degree, views[0].max_out_degree) == (7, 1)
 
 
 def test_sift_determinism(demo):
