@@ -209,17 +209,17 @@ def test_bench_bare_family_with_sizes(capsys):
 
 
 def test_bench_bare_family_without_sizes_exits_2(capsys):
-    rc, out, _ = run_cli(["bench", "--topology", "star"], capsys=capsys)
-    assert rc == 2
-    assert out == ""
+    rc, out, err = run_cli(["bench", "--topology", "star"], capsys=capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: bare family 'star' needs --sizes\n"
 
 
 def test_bench_unknown_pattern_exits_2(capsys):
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         ["bench", "--topology", "path:4", "--pattern", "zigzag"], capsys=capsys
     )
-    assert rc == 2
-    assert "zigzag" in err
+    assert (rc, out) == (2, "")
+    assert err == "error: unknown pattern 'zigzag'\n"
 
 
 def test_verify_passes(capsys):
@@ -361,23 +361,30 @@ def test_trace_output_ignores_edge_line_order(seed, tmp_path, capsys):
 
 
 def test_trace_not_lowering_exits_4(capsys):
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         ["trace", "--input", DEMO_FIXTURE, "--vertex", "9", "--new-label", "12"],
         capsys=capsys,
     )
-    assert rc == 4
-    assert "does not lower" in err
+    assert (rc, out) == (4, "")
+    assert err == "error: 12 does not lower label 12 at vertex 9\n"
 
 
 def test_trace_unordered_input_exits_4(tmp_path, capsys):
     bad = tmp_path / "bad.dag"
     bad.write_text("2 1\n0 1\nlabels: 5 1\n")
-    rc, _, err = run_cli(
+    rc, out, err = run_cli(
         ["trace", "--input", str(bad), "--vertex", "1", "--new-label", "0"],
         capsys=capsys,
     )
-    assert rc == 4
-    assert "not ordered" in err
+    assert (rc, out) == (4, "")
+    assert err == "error: DAG is not ordered\n"
+    # the vertex range is checked before the ordered property
+    rc, out, err = run_cli(
+        ["trace", "--input", str(bad), "--vertex", "5", "--new-label", "0"],
+        capsys=capsys,
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: vertex 5 out of range\n"
 
 
 def test_trace_bad_arguments_exit_2(tmp_path, capsys):
@@ -385,31 +392,41 @@ def test_trace_bad_arguments_exit_2(tmp_path, capsys):
     blocker = tmp_path / "file"  # --out names a file, so no directory can be made
     blocker.write_text("")
     cases = [
-        ["trace", "--input", missing, "--vertex", "0", "--new-label", "0"],
-        ["trace", "--input", DEMO_FIXTURE, "--vertex", "99", "--new-label", "0"],
-        ["trace", "--input", DEMO_FIXTURE, "--vertex", "9", "--new-label", "abc"],
-        ["trace", "--input", DEMO_FIXTURE, "--vertex", "9", "--new-label", "3",
-         "--out", str(blocker)],
+        (
+            ["--input", missing, "--vertex", "0", "--new-label", "0"],
+            f"[Errno 2] No such file or directory: '{missing}'",
+        ),
+        (
+            ["--input", DEMO_FIXTURE, "--vertex", "99", "--new-label", "0"],
+            "vertex 99 out of range",
+        ),
+        (
+            ["--input", DEMO_FIXTURE, "--vertex", "9", "--new-label", "abc"],
+            "bad label 'abc'",
+        ),
+        (
+            ["--input", DEMO_FIXTURE, "--vertex", "9", "--new-label", "3",
+             "--out", str(blocker)],
+            f"[Errno 17] File exists: '{blocker}'",
+        ),
     ]
-    for argv in cases:
-        rc, out, err = run_cli(argv, capsys=capsys)
-        assert rc == 2, argv
-        assert out == ""
-        assert err.startswith("error: "), argv
+    for argv, message in cases:
+        rc, out, err = run_cli(["trace", *argv], capsys=capsys)
+        assert (rc, out) == (2, ""), argv
+        assert err == f"error: {message}\n", argv
 
 
 def test_trace_oversized_header_exits_2(tmp_path, capsys):
     """The vertex count is checked before anything of that size is allocated."""
     big = tmp_path / "big.dag"
-    for header in ("16777217 0\n", "20000000000000000000 0\n"):
-        big.write_text(header)
+    for n in ("16777217", "20000000000000000000"):
+        big.write_text(f"{n} 0\n")
         rc, out, err = run_cli(
             ["trace", "--input", str(big), "--vertex", "0", "--new-label", "0"],
             capsys=capsys,
         )
-        assert rc == 2, header
-        assert out == ""
-        assert err.startswith("error:") and "exceeds 16777216" in err
+        assert (rc, out) == (2, ""), n
+        assert err == f"error: vertex count {n} exceeds 16777216\n"
 
 
 def test_bench_topology_over_budget_exits_2(capsys):
