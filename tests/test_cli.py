@@ -100,10 +100,15 @@ def test_sort_garbage_input_exits_2(monkeypatch, capsys):
 
 
 def test_sort_bad_topology_exits_2(monkeypatch, capsys):
-    for spec in ("blob:9", "grid:2", "path:0", "path:99999999999"):
-        rc, out, _ = run_cli(["sort", "--topology", spec], "1", monkeypatch, capsys)
-        assert rc == 2, spec
-        assert out == ""
+    for spec, message in (
+        ("blob:9", "unrecognized topology spec 'blob:9'"),
+        ("grid:2", "unrecognized topology spec 'grid:2'"),
+        ("path:0", "path:0: need n >= 1"),
+        ("path:99999999999", "path:99999999999 exceeds 16777216 vertices"),
+    ):
+        rc, out, err = run_cli(["sort", "--topology", spec], "1", monkeypatch, capsys)
+        assert (rc, out) == (2, ""), spec
+        assert err == f"error: {message}\n"
 
 
 class EndlessStdin:
