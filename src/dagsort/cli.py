@@ -3,7 +3,9 @@
 Standard output carries data only (sorted values, CSV rows, PASS/FAIL
 lines, DOT text); diagnostics and the sort stats line go to standard error.
 Exit codes: 0 success, 1 verify failure, 2 unusable input or configuration,
-3 input length mismatch, 4 trace precondition violated.
+3 input length mismatch, 4 trace precondition violated. A command refuses
+its input by raising; ``main`` holds the one table from exception type to
+exit code and prints the one ``error: <message>`` line.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .analysis import (
     hypercube_worst_case_closed,
     stats,
 )
-from .dag import INF, MAX_DIMS, MAX_ENTRIES, format_label, parse_dag_text
+from .dag import INF, MAX_DIMS, MAX_ENTRIES, LabeledDag, format_label, parse_dag_text
 from .errors import CycleError, SizeMismatchError
 from .random_dags import random_ordered_labels, random_single_source_dag
 from .reorder import format_trace, lower_label, raise_label, raise_label_via_reversal
@@ -68,32 +70,30 @@ def _read_values(path: str, limit: int) -> tuple[list[int], bool]:
                 raise ValueError(f"a value longer than {_READ_CHUNK} characters")
 
 
+class _TracePreconditionError(Exception):
+    """The DAG given to ``trace`` is not ordered, or the new label does not
+    lower the vertex's label."""
+
+
 def cmd_sort(args) -> int:
-    try:
-        if args.topology == "hypercube":
-            t, limit = None, _LARGEST_CUBE  # bare family name: auto-size to the input
-        else:
-            t = parse_topology(args.topology)
-            limit = t.capacity
-        values, ended = _read_values(args.input, limit)
-        if t is None:
-            if not ended:
-                raise OverflowError(f"more than {limit} values")
-            t = Hypercube.fitting(len(values))
-            report = hypercube_sort(values)
-        else:
-            if not ended:
-                raise SizeMismatchError(f"more than {limit} values")
-            if len(values) != limit:  # refuse before build allocates the vertices
-                raise SizeMismatchError(f"{len(values)} values for {limit} vertices")
-            g = build(t)
-            report = dag_sort(g, values, order=order_for(t, g))
-    except (OSError, ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    if args.topology == "hypercube":
+        t, limit = None, _LARGEST_CUBE  # bare family name: auto-size to the input
+    else:
+        t = parse_topology(args.topology)
+        limit = t.capacity
+    values, ended = _read_values(args.input, limit)
+    if t is None:
+        if not ended:
+            raise OverflowError(f"more than {limit} values")
+        t = Hypercube.fitting(len(values))
+        report = hypercube_sort(values)
+    else:
+        if not ended:
+            raise SizeMismatchError(f"more than {limit} values")
+        if len(values) != limit:  # refuse before build allocates the vertices
+            raise SizeMismatchError(f"{len(values)} values for {limit} vertices")
+        g = build(t)
+        report = dag_sort(g, values, order=order_for(t, g))
 
     if report.output:
         print(" ".join(map(str, report.output)))
@@ -123,15 +123,11 @@ def _bench_topologies(args) -> list[Topology]:
 
 
 def cmd_bench(args) -> int:
-    try:
-        topologies = _bench_topologies(args)
-        patterns = tuple(p.strip() for p in args.pattern.split(","))
-        for p in patterns:
-            if p not in PATTERNS:
-                raise ValueError(f"unknown pattern {p!r}")
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    topologies = _bench_topologies(args)
+    patterns = tuple(p.strip() for p in args.pattern.split(","))
+    for p in patterns:
+        if p not in PATTERNS:
+            raise ValueError(f"unknown pattern {p!r}")
 
     print(
         "topology,n,pattern,seed,insert_cmp,remove_cmp,total_cmp,bound,"
@@ -158,30 +154,21 @@ def cmd_bench(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    try:
-        g = parse_dag_text(Path(args.input).read_text())
-    except (OSError, ValueError, CycleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = parse_dag_text(Path(args.input).read_text())
     if not 0 <= args.vertex < g.n:
-        print(f"error: vertex {args.vertex} out of range", file=sys.stderr)
-        return 2
+        raise ValueError(f"vertex {args.vertex} out of range")
     try:
         new_label = int(args.new_label)
     except ValueError:
-        print(f"error: bad label {args.new_label!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad label {args.new_label!r}") from None
 
     if not g.is_ordered():
-        print("error: DAG is not ordered", file=sys.stderr)
-        return 4
+        raise _TracePreconditionError("DAG is not ordered")
     if not new_label < g.labels[args.vertex]:
-        print(
-            f"error: {new_label} does not lower label "
-            f"{format_label(g.labels[args.vertex])} at vertex {args.vertex}",
-            file=sys.stderr,
+        raise _TracePreconditionError(
+            f"{new_label} does not lower label "
+            f"{format_label(g.labels[args.vertex])} at vertex {args.vertex}"
         )
-        return 4
 
     labels_before = list(g.labels)
     trace = lower_label(g, args.vertex, new_label)
@@ -190,20 +177,16 @@ def cmd_trace(args) -> int:
         sys.stdout.write(format_trace(trace))
         print("labels: " + " ".join(format_label(l) for l in g.labels))
         return 0
-    snapshots = dot_snapshots(g, labels_before, args.vertex, new_label, trace)
+    snapshots = dot_snapshots(g, labels_before, new_label, trace)
     if args.out:
         out_dir = Path(args.out)
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            # a longer earlier sift's snapshots would outlive this one's
-            for old in out_dir.glob("sift_*.dot"):
-                if re.fullmatch(r"sift_[0-9]+\.dot", old.name):
-                    old.unlink()
-            for i, snap in enumerate(snapshots):
-                (out_dir / f"sift_{i:03d}.dot").write_text(snap)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # a longer earlier sift's snapshots would outlive this one's
+        for old in out_dir.glob("sift_*.dot"):
+            if re.fullmatch(r"sift_[0-9]+\.dot", old.name):
+                old.unlink()
+        for i, snap in enumerate(snapshots):
+            (out_dir / f"sift_{i:03d}.dot").write_text(snap)
         print(f"wrote {len(snapshots)} snapshots to {out_dir}", file=sys.stderr)
     else:
         sys.stdout.writelines(snapshots)
@@ -213,12 +196,21 @@ def cmd_trace(args) -> int:
 # verify suites: small randomized self-checks with a fixed default seed
 
 
+def _verify_dag(rng: random.Random, n: int) -> LabeledDag:
+    """A random single-source DAG on n vertices: a third of draws are
+    trees and a third chains, so the one-neighbour sift loops run too."""
+    shape = rng.randrange(3)  # 0: a tree, 1: a denser DAG, 2: a chain
+    if shape == 2:
+        return build(parse_topology(f"path:{n}"))
+    return random_single_source_dag(rng, n, extra_edges=None if shape else 0)
+
+
 def _verify_sift_properties(seed: int, runs: int) -> tuple[bool, bool]:
     rng = random.Random(seed)
     ordered_ok = True
     multiset_ok = True
     for _ in range(runs):
-        g = random_single_source_dag(rng, rng.randint(1, 40))
+        g = _verify_dag(rng, rng.randint(1, 40))
         random_ordered_labels(rng, g, infinity_tail=rng.randint(0, 2))
         for _ in range(8):
             v = rng.randrange(g.n)
@@ -246,7 +238,7 @@ def _verify_sift_properties(seed: int, runs: int) -> tuple[bool, bool]:
 def _verify_raise_equivalence(seed: int, runs: int) -> bool:
     rng = random.Random(seed)
     for _ in range(runs):
-        g = random_single_source_dag(rng, rng.randint(1, 40))
+        g = _verify_dag(rng, rng.randint(1, 40))
         random_ordered_labels(rng, g)
         twin = g.copy()
         v = rng.randrange(g.n)
@@ -346,8 +338,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; map each way a command refuses to its exit code.
+    Any other exception propagates."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, OverflowError, CycleError) as exc:
+        refusal, code = exc, 2
+    except SizeMismatchError as exc:
+        refusal, code = exc, 3
+    except _TracePreconditionError as exc:
+        refusal, code = exc, 4
+    print(f"error: {refusal}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

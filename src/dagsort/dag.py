@@ -154,8 +154,8 @@ def _build(cls, n: int, edges, require_single_source: bool) -> LabeledDag:
 
 
 def topological_order(g: LabeledDag) -> list[int]:
-    """Kahn's algorithm; ties popped in ascending vertex order is not
-    guaranteed, only a valid topological order is."""
+    """A topological order, by Kahn's algorithm with a FIFO queue. Only
+    validity is promised, not which of the valid orders is returned."""
     indegree = [len(p) for p in g.prev_adj]
     queue = deque(v for v in range(g.n) if indegree[v] == 0)
     order = []

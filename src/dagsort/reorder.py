@@ -33,22 +33,18 @@ once, when it ends. Every count in the package is in these units.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .dag import Label, LabeledDag, format_label
 from .errors import NotLoweringError, NotRaisingError
 
 
+@dataclass(slots=True, eq=False)
 class ComparisonCounter:
     """Mutable tally of label-vs-label comparisons."""
 
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def __repr__(self) -> str:
-        return f"ComparisonCounter(count={self.count})"
+    count: int = 0
 
 
 class ExchangeStep(NamedTuple):
@@ -60,6 +56,7 @@ class ExchangeStep(NamedTuple):
     moved_label: Label
 
 
+@dataclass(slots=True)
 class ExchangeTrace:
     """Record of one sift: ``path`` lists the visited vertices from the
     starting vertex to the terminal one, and ``moved[i]`` is the label the
@@ -71,11 +68,8 @@ class ExchangeTrace:
     their paths and displaced labels match; they are mutable and unhashable.
     """
 
-    __slots__ = ("path", "moved")
-
-    def __init__(self, path: list[int], moved: list[Label]) -> None:
-        self.path = path
-        self.moved = moved
+    path: list[int]
+    moved: list[Label]
 
     @property
     def terminal_vertex(self) -> int:
@@ -90,14 +84,6 @@ class ExchangeTrace:
 
     def __len__(self) -> int:
         return len(self.moved)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExchangeTrace):
-            return NotImplemented
-        return self.path == other.path and self.moved == other.moved
-
-    def __repr__(self) -> str:
-        return f"ExchangeTrace(path={self.path!r}, moved={self.moved!r})"
 
 
 def format_trace(trace: ExchangeTrace) -> str:

@@ -23,7 +23,6 @@ from .reorder import ExchangeTrace
 def dot_snapshots(
     g: LabeledDag,
     labels_before: list[Label],
-    vertex: int,
     new_label: Label,
     trace: ExchangeTrace,
 ) -> list[str]:

@@ -243,6 +243,16 @@ def test_verify_passes(capsys):
     }
 
 
+def test_verify_draws_trees_and_chains():
+    """The sift suites draw trees and chains as well as denser DAGs, so the
+    one-neighbour sift loops are checked too."""
+    rng = random.Random(0)
+    drawn = [cli._verify_dag(rng, 12) for _ in range(60)]
+    assert any(g.max_in_degree >= 2 for g in drawn)
+    assert any(g.max_in_degree < 2 and g.max_out_degree >= 2 for g in drawn)
+    assert any(g.max_out_degree < 2 for g in drawn)
+
+
 def test_verify_failing_suite_exits_1(monkeypatch, capsys):
     """The demo DAG with every label one higher still sifts, but no longer
     to the golden trace's labels."""

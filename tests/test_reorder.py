@@ -12,6 +12,7 @@ from dagsort import (
     INF,
     ComparisonCounter,
     ExchangeStep,
+    ExchangeTrace,
     LabeledDag,
     NotLoweringError,
     NotRaisingError,
@@ -453,6 +454,28 @@ def test_trace_records_path_and_moved_labels(demo):
     assert trace == lower_label(demo_dag(), 9, 3)
     assert trace != lower_label(demo_dag(), 9, 5)  # stops one step earlier
     assert trace != lower_label(demo_dag(), 10, 3)
+
+
+def test_trace_and_counter_value_semantics():
+    """A trace is a mutable value, equal by its two lists and unhashable; a
+    counter is a mutable tally, equal only to itself and hashable."""
+    trace = ExchangeTrace([9, 7], [10])
+    assert repr(trace) == "ExchangeTrace(path=[9, 7], moved=[10])"
+    assert trace == ExchangeTrace([9, 7], [10])
+    assert trace != ExchangeTrace([9, 7], [11])
+    assert trace.__eq__(([9, 7], [10])) is NotImplemented
+    with pytest.raises(TypeError):
+        hash(trace)
+
+    counter, twin = ComparisonCounter(), ComparisonCounter()
+    counter.count += 3
+    twin.count += 3
+    assert repr(counter) == "ComparisonCounter(count=3)"
+    assert counter == counter and counter != twin
+    assert len({counter, twin}) == 2
+    for obj in (trace, counter):
+        with pytest.raises(AttributeError):
+            obj.extra = 1  # slots: no per-instance dict
 
 
 def test_hot_path_builds_no_steps(monkeypatch, capsys):

@@ -13,8 +13,11 @@ from support import oracle_dot_snapshots, ordered_dags
 def render_both(g, v, new, lowering):
     labels_before = list(g.labels)
     trace = (lower_label if lowering else raise_label)(g, v, new)
-    args = (g, labels_before, v, new, trace)
-    return trace, dot_snapshots(*args), oracle_dot_snapshots(*args)
+    return (
+        trace,
+        dot_snapshots(g, labels_before, new, trace),
+        oracle_dot_snapshots(g, labels_before, v, new, trace),
+    )
 
 
 @given(ordered_dags(infinity_tail=True), st.data())
