@@ -3,9 +3,10 @@
 Standard output carries data only (sorted values, CSV rows, PASS/FAIL
 lines, DOT text); diagnostics and the sort stats line go to standard error.
 Exit codes: 0 success, 1 verify failure, 2 unusable input or configuration,
-3 input length mismatch, 4 trace precondition violated. A command refuses
-its input by raising; ``main`` holds the one table from exception type to
-exit code and prints the one ``error: <message>`` line.
+3 input length mismatch, 4 trace precondition violated. A command admits
+its input, refusing it by raising, and returns the step that computes and
+writes the output; ``main`` holds the one table from exception type to exit
+code and prints the one ``error: <message>`` line.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 
+from . import demo
 from .analysis import (
     entropy_bound_holds,
     general_bound,
@@ -71,42 +73,46 @@ def _read_values(path: str, limit: int) -> tuple[list[int], bool]:
 
 
 class _TracePreconditionError(Exception):
-    """The DAG given to ``trace`` is not ordered, or the new label does not
-    lower the vertex's label."""
+    """The DAG given to ``trace`` is not ordered, or the label does not lower."""
 
 
-def cmd_sort(args) -> int:
+def cmd_sort(args):
     if args.topology == "hypercube":
         t, limit = None, _LARGEST_CUBE  # bare family name: auto-size to the input
     else:
         t = parse_topology(args.topology)
         limit = t.capacity
     values, ended = _read_values(args.input, limit)
-    if t is None:
+    bare = t is None
+    if bare:
         if not ended:
             raise OverflowError(f"more than {limit} values")
         t = Hypercube.fitting(len(values))
-        report = hypercube_sort(values)
-    else:
-        if not ended:
-            raise SizeMismatchError(f"more than {limit} values")
-        if len(values) != limit:  # refuse before build allocates the vertices
-            raise SizeMismatchError(f"{len(values)} values for {limit} vertices")
-        g = build(t)
-        report = dag_sort(g, values, order=order_for(t, g))
+    elif not ended:
+        raise SizeMismatchError(f"more than {limit} values")
+    elif len(values) != limit:  # refuse before build allocates the vertices
+        raise SizeMismatchError(f"{len(values)} values for {limit} vertices")
 
-    if report.output:
-        print(" ".join(map(str, report.output)))
-    # a bare hypercube may be only partly filled: bound the values actually sorted
-    bound = general_bound(replace(t.stats(), n=len(report.output)))
-    print(
-        f"n={len(report.output)} topology={t} "
-        f"insert_cmp={report.insert_comparisons} "
-        f"remove_cmp={report.remove_comparisons} "
-        f"total={report.total_comparisons} bound={bound}",
-        file=sys.stderr,
-    )
-    return 0
+    def run() -> int:
+        if bare:
+            report = hypercube_sort(values)
+        else:
+            g = build(t)
+            report = dag_sort(g, values, order=order_for(t, g))
+        if report.output:
+            print(" ".join(map(str, report.output)))
+        # a bare hypercube may be only partly filled: bound the values actually sorted
+        bound = general_bound(replace(t.stats(), n=len(report.output)))
+        print(
+            f"n={len(report.output)} topology={t} "
+            f"insert_cmp={report.insert_comparisons} "
+            f"remove_cmp={report.remove_comparisons} "
+            f"total={report.total_comparisons} bound={bound}",
+            file=sys.stderr,
+        )
+        return 0
+
+    return run
 
 
 def _bench_topologies(args) -> list[Topology]:
@@ -122,38 +128,41 @@ def _bench_topologies(args) -> list[Topology]:
     return [parse_topology(spec) for spec in specs]
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args):
     topologies = _bench_topologies(args)
     patterns = tuple(p.strip() for p in args.pattern.split(","))
     for p in patterns:
         if p not in PATTERNS:
             raise ValueError(f"unknown pattern {p!r}")
 
-    print(
-        "topology,n,pattern,seed,insert_cmp,remove_cmp,total_cmp,bound,"
-        "worst_case_formula"
-    )
-    row_seed = args.seed
-    for t in topologies:
-        g = build(t)
-        order = order_for(t, g)
-        bound = general_bound(t.stats())
-        formula = (
-            str(hypercube_worst_case_closed(t.dims)) if isinstance(t, Hypercube) else ""
+    def run() -> int:
+        print(
+            "topology,n,pattern,seed,insert_cmp,remove_cmp,total_cmp,bound,"
+            "worst_case_formula"
         )
-        for pattern in patterns:
-            values = make_pattern(pattern, g.n, random.Random(row_seed))
-            report = dag_sort(g, values, order=order)
-            print(
-                f"{t},{g.n},{pattern},{row_seed},"
-                f"{report.insert_comparisons},{report.remove_comparisons},"
-                f"{report.total_comparisons},{bound},{formula}"
+        row_seed = args.seed
+        for t in topologies:
+            g = build(t)
+            order = order_for(t, g)
+            bound = general_bound(t.stats())
+            formula = (
+                str(hypercube_worst_case_closed(t.dims)) if isinstance(t, Hypercube) else ""
             )
-            row_seed += 1
-    return 0
+            for pattern in patterns:
+                values = make_pattern(pattern, g.n, random.Random(row_seed))
+                report = dag_sort(g, values, order=order)
+                print(
+                    f"{t},{g.n},{pattern},{row_seed},"
+                    f"{report.insert_comparisons},{report.remove_comparisons},"
+                    f"{report.total_comparisons},{bound},{formula}"
+                )
+                row_seed += 1
+        return 0
+
+    return run
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args):
     g = parse_dag_text(Path(args.input).read_text())
     if not 0 <= args.vertex < g.n:
         raise ValueError(f"vertex {args.vertex} out of range")
@@ -170,83 +179,82 @@ def cmd_trace(args) -> int:
             f"{format_label(g.labels[args.vertex])} at vertex {args.vertex}"
         )
 
-    labels_before = list(g.labels)
-    trace = lower_label(g, args.vertex, new_label)
-
-    if args.format == "text":
-        sys.stdout.write(format_trace(trace))
-        print("labels: " + " ".join(format_label(l) for l in g.labels))
+    def run() -> int:
+        labels_before = list(g.labels)
+        trace = lower_label(g, args.vertex, new_label)
+        if args.format == "text":
+            sys.stdout.write(format_trace(trace))
+            print("labels: " + " ".join(format_label(l) for l in g.labels))
+            return 0
+        snapshots = dot_snapshots(g, labels_before, new_label, trace)
+        if args.out:
+            out_dir = Path(args.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            # a longer earlier sift's snapshots would outlive this one's
+            for old in out_dir.glob("sift_*.dot"):
+                if re.fullmatch(r"sift_[0-9]+\.dot", old.name):
+                    old.unlink()
+            for i, snap in enumerate(snapshots):
+                (out_dir / f"sift_{i:03d}.dot").write_text(snap)
+            print(f"wrote {len(snapshots)} snapshots to {out_dir}", file=sys.stderr)
+        else:
+            sys.stdout.writelines(snapshots)
         return 0
-    snapshots = dot_snapshots(g, labels_before, new_label, trace)
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # a longer earlier sift's snapshots would outlive this one's
-        for old in out_dir.glob("sift_*.dot"):
-            if re.fullmatch(r"sift_[0-9]+\.dot", old.name):
-                old.unlink()
-        for i, snap in enumerate(snapshots):
-            (out_dir / f"sift_{i:03d}.dot").write_text(snap)
-        print(f"wrote {len(snapshots)} snapshots to {out_dir}", file=sys.stderr)
-    else:
-        sys.stdout.writelines(snapshots)
-    return 0
+
+    return run
 
 
 # verify suites: small randomized self-checks with a fixed default seed
 
 
-def _verify_dag(rng: random.Random, n: int) -> LabeledDag:
-    """A random single-source DAG on n vertices: a third of draws are
-    trees and a third chains, so the one-neighbour sift loops run too."""
-    shape = rng.randrange(3)  # 0: a tree, 1: a denser DAG, 2: a chain
-    if shape == 2:
-        return build(parse_topology(f"path:{n}"))
-    return random_single_source_dag(rng, n, extra_edges=None if shape else 0)
+def _verify_dags(rng: random.Random, n: int) -> tuple[LabeledDag, LabeledDag]:
+    """A random single-source DAG on n vertices, and a tree or a chain on n
+    vertices in a random id order, so the sift suites run the neighbour
+    scans and the one-neighbour loops alike."""
+    dense = random_single_source_dag(rng, n)
+    if rng.randrange(2):
+        return dense, random_single_source_dag(rng, n, extra_edges=0)
+    ids = rng.sample(range(n), n)
+    return dense, LabeledDag.from_edges(n, zip(ids, ids[1:]))
 
 
 def _verify_sift_properties(seed: int, runs: int) -> tuple[bool, bool]:
     rng = random.Random(seed)
-    ordered_ok = True
-    multiset_ok = True
+    ordered_ok = multiset_ok = True
     for _ in range(runs):
-        g = _verify_dag(rng, rng.randint(1, 40))
-        random_ordered_labels(rng, g, infinity_tail=rng.randint(0, 2))
-        for _ in range(8):
-            v = rng.randrange(g.n)
-            old = g.labels[v]
-            before = Counter(g.labels)
-            if old == INF or (rng.random() < 0.5 and old > -(10**6)):
-                new = (
-                    rng.randint(-100, 100)
-                    if old == INF
-                    else old - rng.randint(1, 10)
-                )
-                lower_label(g, v, new)
-            else:
-                new = old + rng.randint(1, 10)
-                raise_label(g, v, new)
-            before[old] -= 1
-            before[new] += 1
-            if not g.is_ordered():
-                ordered_ok = False
-            if +before != +Counter(g.labels):
-                multiset_ok = False
+        for g in _verify_dags(rng, rng.randint(1, 40)):
+            random_ordered_labels(rng, g, infinity_tail=rng.randint(0, 2))
+            for _ in range(8):
+                v = rng.randrange(g.n)
+                old = g.labels[v]
+                before = Counter(g.labels)
+                if old == INF or (rng.random() < 0.5 and old > -(10**6)):
+                    new = rng.randint(-100, 100) if old == INF else old - rng.randint(1, 10)
+                    lower_label(g, v, new)
+                else:
+                    new = old + rng.randint(1, 10)
+                    raise_label(g, v, new)
+                before[old] -= 1
+                before[new] += 1
+                if not g.is_ordered():
+                    ordered_ok = False
+                if +before != +Counter(g.labels):
+                    multiset_ok = False
     return ordered_ok, multiset_ok
 
 
 def _verify_raise_equivalence(seed: int, runs: int) -> bool:
     rng = random.Random(seed)
     for _ in range(runs):
-        g = _verify_dag(rng, rng.randint(1, 40))
-        random_ordered_labels(rng, g)
-        twin = g.copy()
-        v = rng.randrange(g.n)
-        new = g.labels[v] + rng.randint(1, 15)
-        direct = raise_label(g, v, new)
-        reversed_run = raise_label_via_reversal(twin, v, new)
-        if g.labels != twin.labels or direct != reversed_run:
-            return False
+        for g in _verify_dags(rng, rng.randint(1, 40)):
+            random_ordered_labels(rng, g)
+            twin = g.copy()
+            v = rng.randrange(g.n)
+            new = g.labels[v] + rng.randint(1, 15)
+            direct = raise_label(g, v, new)
+            reversed_run = raise_label_via_reversal(twin, v, new)
+            if g.labels != twin.labels or direct != reversed_run:
+                return False
     return True
 
 
@@ -263,33 +271,31 @@ def _verify_entropy_bound(seed: int, runs: int) -> bool:
 
 
 def _verify_golden_trace() -> bool:
-    from .demo import demo_dag
-
-    g = demo_dag()
+    g = demo.demo_dag()
     trace = lower_label(g, 9, 3)
     if trace.path != [9, 7, 8, 5, 3, 2] or trace.moved != [10, 9, 8, 6, 4]:
         return False
     if g.labels != [1, 2, 3, 4, 6, 6, 8, 9, 8, 10, 14, 16]:
         return False
-    rerun = lower_label(demo_dag(), 9, 3)
+    rerun = lower_label(demo.demo_dag(), 9, 3)
     return format_trace(rerun) == format_trace(trace)
 
 
-def cmd_verify(args) -> int:
-    ordered_ok, multiset_ok = _verify_sift_properties(args.seed, args.runs)
-    suites = [
-        ("ordered-after-sift", ordered_ok),
-        ("multiset-conservation", multiset_ok),
-        ("raise-equivalence", _verify_raise_equivalence(args.seed + 1, args.runs)),
-        ("entropy-bound", _verify_entropy_bound(args.seed + 2, args.runs)),
-        ("golden-trace", _verify_golden_trace()),
-    ]
-    failed = False
-    for name, ok in suites:
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        if not ok:
-            failed = True
-    return 1 if failed else 0
+def cmd_verify(args):
+    def run() -> int:  # nothing to admit: every suite is a check of the program
+        ordered_ok, multiset_ok = _verify_sift_properties(args.seed, args.runs)
+        suites = [
+            ("ordered-after-sift", ordered_ok),
+            ("multiset-conservation", multiset_ok),
+            ("raise-equivalence", _verify_raise_equivalence(args.seed + 1, args.runs)),
+            ("entropy-bound", _verify_entropy_bound(args.seed + 2, args.runs)),
+            ("golden-trace", _verify_golden_trace()),
+        ]
+        for name, ok in suites:
+            print(f"{'PASS' if ok else 'FAIL'} {name}")
+        return 0 if all(ok for _, ok in suites) else 1
+
+    return run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,17 +344,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; map each way a command refuses to its exit code.
-    Any other exception propagates."""
+    """Run one command, reporting a refusal. Past admission only a failed
+    read or write (``OSError``) is one; every other exception is a fault
+    and propagates."""
     args = build_parser().parse_args(argv)
+    run = None
     try:
-        return args.func(args)
+        run = args.func(args)
+        return run()
     except (OSError, ValueError, OverflowError, CycleError) as exc:
         refusal, code = exc, 2
     except SizeMismatchError as exc:
         refusal, code = exc, 3
     except _TracePreconditionError as exc:
         refusal, code = exc, 4
+    if run is not None and not isinstance(refusal, OSError):
+        raise refusal  # a fault in the computation, not a refusal
     print(f"error: {refusal}", file=sys.stderr)
     return code
 

@@ -33,7 +33,7 @@ once, when it ends. Every count in the package is in these units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .dag import Label, LabeledDag, format_label
@@ -42,9 +42,9 @@ from .errors import NotLoweringError, NotRaisingError
 
 @dataclass(slots=True, eq=False)
 class ComparisonCounter:
-    """Mutable tally of label-vs-label comparisons."""
+    """Mutable tally of label-vs-label comparisons; it starts at 0."""
 
-    count: int = 0
+    count: int = field(default=0, init=False)
 
 
 class ExchangeStep(NamedTuple):

@@ -17,6 +17,7 @@ import pytest
 
 from dagsort import Hypercube, cli, demo
 from dagsort.analysis import hypercube_worst_case_closed
+from dagsort.errors import CycleError, SizeMismatchError
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_FIXTURE = str(REPO / "fixtures" / "demo12.dag")
@@ -244,13 +245,16 @@ def test_verify_passes(capsys):
 
 
 def test_verify_draws_trees_and_chains():
-    """The sift suites draw trees and chains as well as denser DAGs, so the
-    one-neighbour sift loops are checked too."""
+    """Each run of the sift suites draws a denser DAG and, beside it, a tree
+    or a chain, so the one-neighbour sift loops are checked too and the
+    neighbour scans as often as before. A chain's ids are shuffled."""
     rng = random.Random(0)
-    drawn = [cli._verify_dag(rng, 12) for _ in range(60)]
-    assert any(g.max_in_degree >= 2 for g in drawn)
-    assert any(g.max_in_degree < 2 and g.max_out_degree >= 2 for g in drawn)
-    assert any(g.max_out_degree < 2 for g in drawn)
+    drawn = [cli._verify_dags(rng, 12) for _ in range(60)]
+    assert all(dense.max_in_degree >= 2 for dense, _ in drawn)
+    assert all(other.max_in_degree < 2 for _, other in drawn)
+    chains = [other for _, other in drawn if other.max_out_degree < 2]
+    assert 0 < len(chains) < len(drawn)
+    assert len({tuple(map(tuple, g.next_adj)) for g in chains}) > 1
 
 
 def test_verify_failing_suite_exits_1(monkeypatch, capsys):
@@ -429,6 +433,59 @@ def test_trace_bad_arguments_exit_2(tmp_path, capsys):
         rc, out, err = run_cli(["trace", *argv], capsys=capsys)
         assert (rc, out) == (2, ""), argv
         assert err == f"error: {message}\n", argv
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+TRACE_DEMO = ["trace", "--input", DEMO_FIXTURE, "--vertex", "9", "--new-label", "3"]
+NOT_A_PERMUTATION = ValueError("order must be a permutation of the vertices")
+
+
+@pytest.mark.parametrize(
+    "argv, name, exc",
+    [
+        (["bench", "--topology", "path:4"], "order_for", NOT_A_PERMUTATION),
+        (["sort", "--topology", "path:4"], "order_for", NOT_A_PERMUTATION),
+        (["sort", "--topology", "path:4"], "dag_sort", SizeMismatchError("4 vs 5")),
+        (["sort"], "hypercube_sort", OverflowError("a fault")),
+        (["verify", "--runs", "2"], "_verify_entropy_bound", OverflowError("a fault")),
+        (TRACE_DEMO, "lower_label", ValueError("a fault")),
+        (TRACE_DEMO, "dot_snapshots", CycleError("a fault")),
+    ],
+)
+def test_fault_past_admission_propagates(argv, name, exc, monkeypatch, capsys):
+    """Once a command has admitted its input, an exception of a refusal
+    type from its computation is a fault: it propagates as a traceback
+    instead of reading as bad input with exit 2 or 3."""
+    monkeypatch.setattr(cli, name, _raise(exc))
+    monkeypatch.setattr("sys.stdin", io.StringIO("4 3 2 1"))
+    with pytest.raises(type(exc)) as raised:
+        cli.main(argv)
+    assert raised.value is exc
+    assert "error:" not in capsys.readouterr().err
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sort"], ["bench", "--topology", "path:4"], ["verify", "--runs", "2"], TRACE_DEMO],
+)
+def test_failed_output_write_exits_2(argv, monkeypatch, capsys):
+    """A failed write, such as to a closed pipe, is a refusal in either
+    step: one error line and exit 2."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("4 3 2 1"))
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_trace_oversized_header_exits_2(tmp_path, capsys):

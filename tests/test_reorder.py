@@ -468,6 +468,10 @@ def test_trace_and_counter_value_semantics():
         hash(trace)
 
     counter, twin = ComparisonCounter(), ComparisonCounter()
+    assert counter.count == 0
+    for args, kwargs in (((5,), {}), ((), {"count": 5})):
+        with pytest.raises(TypeError):
+            ComparisonCounter(*args, **kwargs)  # a counter always starts at 0
     counter.count += 3
     twin.count += 3
     assert repr(counter) == "ComparisonCounter(count=3)"
