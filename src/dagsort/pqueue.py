@@ -5,15 +5,13 @@ queue contents, and the labels are the only record of which slots are free.
 The ordered property makes the source the minimum. Inserting lowers a free
 slot's label into place; remove-min raises the source's label to INF. Free
 slots are handed out by ascending position in the insertion order (a BFS
-order of the DAG), so a fresh queue fills layer by layer. The heap of free
-positions is lazy: it holds every free position plus stale ones whose vertex
-has since filled. Insert pops only positions whose vertex is filled, so only
-remove-min grows the heap, and there it is rebuilt past 2n entries.
+order of the DAG), so a fresh queue fills layer by layer. One byte per
+position marks the slots that may be free, and none is free below
+``_lowest``. A set byte is only a hint: insert clears it where the label is
+finite, so the labels still decide.
 """
 
 from __future__ import annotations
-
-import heapq
 
 from .dag import INF, LabeledDag, Label, is_finite_label
 from .errors import (
@@ -51,10 +49,11 @@ class OrderedDagQueue:
         if order_list[0] != dag.source:
             raise ValueError("order must start at the source")
         self._order = order_list
-        self._free_positions = list(range(dag.n))  # ascending, already a heap
         self._position = [0] * dag.n
-        for pos, v in zip(self._free_positions, order_list):
+        for pos, v in enumerate(order_list):
             self._position[v] = pos
+        self._free = bytearray(b"\x01" * dag.n)  # 0: filled; 1: maybe free
+        self._lowest = 0  # every free slot's position is at least this
         self.counter = ComparisonCounter()
         self.occupied = 0
 
@@ -72,14 +71,16 @@ class OrderedDagQueue:
             raise NonFiniteLabelError(f"cannot insert {label!r}")
         if self.occupied >= self.dag.n:
             raise FullQueueError("queue is full")
-        labels, order, heap = self.dag.labels, self._order, self._free_positions
-        # pop only positions whose vertex is filled: only remove_min grows heap
-        while labels[order[heap[0]]] != INF:
-            heapq.heappop(heap)
-        v = order[heap[0]]
+        labels, order, free = self.dag.labels, self._order, self._free
+        pos = free.find(1, self._lowest)  # not -1: some slot is free
+        while labels[order[pos]] != INF:  # filled by a sift or lower_label_at
+            free[pos] = 0
+            pos = free.find(1, pos + 1)
+        self._lowest = pos
+        v = order[pos]
         trace = lower_label(self.dag, v, label, self.counter)
         if labels[v] != INF:  # else the sift pulled an INF down into v
-            heapq.heappop(heap)
+            free[pos] = 0
         self.occupied += 1
         return trace.terminal_vertex
 
@@ -92,19 +93,18 @@ class OrderedDagQueue:
     def remove_min(self) -> Label:
         if self.occupied == 0:
             raise EmptyQueueError("queue is empty")
-        source, labels, heap = self.dag.source, self.dag.labels, self._free_positions
-        smallest = labels[source]
+        source = self.dag.source
+        smallest = self.dag.labels[source]
         trace = raise_label(self.dag, source, INF, self.counter)
-        heapq.heappush(heap, self._position[trace.terminal_vertex])
-        if len(heap) > 2 * len(labels):  # drop the stale positions
-            heap[:] = [p for p, u in enumerate(self._order) if labels[u] == INF]
+        pos = self._position[trace.terminal_vertex]
+        self._free[pos] = 1
+        self._lowest = min(self._lowest, pos)
         self.occupied -= 1
         return smallest
 
     def lower_label_at(self, v: int, new_label: Label) -> ExchangeTrace:
         """Decrease the label held at v. Lowering a free (INF) slot is a
-        targeted insert and consumes one free slot; any position left at INF
-        is still in the free heap."""
+        targeted insert and consumes one free slot."""
         if not is_finite_label(new_label):
             raise NonFiniteLabelError(f"cannot lower to {new_label!r}")
         # an out-of-range v is refused by lower_label before anything changes

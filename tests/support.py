@@ -13,9 +13,13 @@ from hypothesis import strategies as st
 
 from dagsort import (
     INF,
+    ComparisonCounter,
     LabeledDag,
     MultipleSourcesError,
+    bfs_order,
     format_label,
+    lower_label,
+    raise_label,
     topological_order,
 )
 
@@ -171,6 +175,30 @@ def bad_edges(g: LabeledDag) -> list[tuple[int, int]]:
 
 def finite_multiset(g: LabeledDag) -> Counter:
     return Counter(l for l in g.labels if l != INF)
+
+
+class ScanQueue:
+    """Reference queue that keeps no record of its free slots: an insert
+    lowers the first INF label it meets scanning the DAG's BFS order, and
+    remove-min raises the source's label to INF."""
+
+    def __init__(self, g: LabeledDag):
+        self.dag, self.order, self.counter = g, list(bfs_order(g)), ComparisonCounter()
+
+    def __len__(self) -> int:
+        return self.dag.n - self.dag.labels.count(INF)
+
+    def insert(self, label) -> int:
+        v = next(u for u in self.order if self.dag.labels[u] == INF)
+        return lower_label(self.dag, v, label, self.counter).terminal_vertex
+
+    def remove_min(self):
+        smallest = self.dag.labels[self.dag.source]
+        raise_label(self.dag, self.dag.source, INF, self.counter)
+        return smallest
+
+    def lower_label_at(self, v: int, label):
+        return lower_label(self.dag, v, label, self.counter)
 
 
 def assert_adjacency_consistent(g: LabeledDag) -> None:

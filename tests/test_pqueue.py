@@ -1,8 +1,9 @@
 """Queue discipline over labeled DAGs, checked against a multiset oracle."""
 
-import heapq
 import random
 from collections import Counter
+from itertools import compress
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +27,11 @@ from dagsort import (
     lower_label,
     order_for,
     parse_topology,
-    raise_label,
 )
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_single_source_dag
 
-from support import finite_multiset, single_source_dags
+from support import ScanQueue, finite_multiset, single_source_dags
 
 FAMILIES = ("star:8", "path:8", "grid:2:3", "hypercube:3")
 
@@ -221,7 +221,7 @@ def test_non_graded_dag_keeps_bookkeeping_exact():
 
 def test_insert_that_pulls_inf_down_keeps_its_slot_first(monkeypatch):
     # vertex 1's previous neighbours are 0 and the INF at 2, so inserting at 1
-    # swaps that INF into 1: the position of 1 stays first in the free heap
+    # swaps that INF into 1, which stays the first free slot
     g = LabeledDag.from_edges(3, [(0, 1), (0, 2), (2, 1)])
     q = OrderedDagQueue(g)
     starts = []
@@ -234,11 +234,21 @@ def test_insert_that_pulls_inf_down_keeps_its_slot_first(monkeypatch):
     q.insert(10)
     assert q.insert(5) == 0
     assert q.dag.labels == [5, INF, 10]
-    assert q._order[q._free_positions[0]] == 1
-    assert sorted(q._free_positions) == [1, 2]  # 2 is stale: its vertex filled
     assert q.insert(7) == 2
     assert starts == [0, 1, 1]
-    assert q._free_positions == [2]
+    assert q.dag.labels == [5, 10, 7]
+
+
+def test_insert_takes_a_slot_freed_below_the_last_insert():
+    # remove_min frees vertex 2 while vertex 4 is still free: the next insert
+    # must take 2, the earlier of the two in the insertion order
+    q = fresh_queue("star:5")
+    for x in (1, 5, 3, 4):
+        q.insert(x)
+    assert q.remove_min() == 1
+    assert q.dag.labels == [3, 5, INF, 4, INF]
+    assert q.insert(9) == 2
+    assert q.dag.labels == [3, 5, 9, 4, INF]
 
 
 def test_targeted_calls_refuse_out_of_range_vertices():
@@ -395,56 +405,20 @@ def test_queue_fuzz_on_non_graded_dags(g, ops):
         assert len(q) == oracle.total()
 
 
-class NeverRebuilt(OrderedDagQueue):
-    """remove_min as first written: its pushes make the free-slot heap grow,
-    and stale positions are only ever skipped when popped."""
-
-    def remove_min(self):
-        smallest = self.get_min()[1]
-        trace = raise_label(self.dag, self.dag.source, INF, self.counter)
-        heapq.heappush(self._free_positions, self._position[trace.terminal_vertex])
-        self.occupied -= 1
-        return smallest
-
-
-class PopAndRepush(OrderedDagQueue):
-    """insert as first written: pop the first free position, and push it back
-    when the sift pulled an INF down into that vertex, leaving it free."""
-
-    def insert(self, label):
-        if self.occupied >= self.dag.n:
-            raise FullQueueError("queue is full")
-        labels, heap = self.dag.labels, self._free_positions
-        v = self._order[heapq.heappop(heap)]
-        while labels[v] != INF:
-            v = self._order[heapq.heappop(heap)]
-        trace = lower_label(self.dag, v, label, self.counter)
-        if labels[v] == INF:
-            heapq.heappush(heap, self._position[v])
-        self.occupied += 1
-        return trace.terminal_vertex
-
-
-def test_free_slot_heap_stays_within_twice_capacity():
-    """An insert on a non-graded DAG can leave a stale free position behind,
-    and so can lowering a free slot in place, so the lazy heap grew without
-    bound: 70 440 entries after these 200 000 calls. It now holds at most
-    2n. A twin queue that never drops a position settles every value on the
-    same vertex, pops the same minima and counts the same comparisons,
-    through 20 000 calls and then a fill that takes every free slot. So does
-    a twin whose insert pops its first free position and pushes it back
-    when the sift leaves that vertex free, and its heap holds as many."""
+def test_free_slot_map_hands_out_the_first_free_slot_under_churn():
+    """On a non-graded DAG an insert can pull an INF down and leave its slot
+    free, and lowering a free slot in place fills it behind the byte map's
+    back. Through 20 000 calls, with targeted inserts at free vertices, and
+    the fill that follows, the queue settles every value on the same vertex
+    as a reference that scans the labels for the first free slot, pops the
+    same minima and counts the same comparisons. Through 180 000 - n more
+    calls, every free slot keeps its byte set at or above ``_lowest``."""
     rng = random.Random(512)
     n = 512
     g = random_single_source_dag(rng, n)
-    q, lazy = OrderedDagQueue(g), NeverRebuilt(g.copy())
-    repush = PopAndRepush(g.copy())
-
-    def same_as_repush(queues):
-        if repush in queues:
-            assert repush.dag.labels == q.dag.labels
-            assert (len(repush), repush.counter.count) == (len(q), q.counter.count)
-            assert len(repush._free_positions) == len(q._free_positions)
+    q, ref = OrderedDagQueue(g), ScanQueue(g.copy())
+    labels_in_order = itemgetter(*q._order)
+    flip = bytes.maketrans(b"\0\1", b"\1\0")  # 1 where a byte says filled
 
     def churn(queues, calls):
         for _ in range(calls):
@@ -458,15 +432,18 @@ def test_free_slot_heap_stays_within_twice_capacity():
                     assert len({queue.insert(x) for queue in queues}) == 1
             else:
                 assert len({queue.remove_min() for queue in queues}) == 1
-            assert len(q._free_positions) <= 2 * n
-            same_as_repush(queues)
+            if ref in queues:
+                assert ref.dag.labels == q.dag.labels
+                assert (len(ref), ref.counter.count) == (len(q), q.counter.count)
+            else:
+                in_order = labels_in_order(q.dag.labels)
+                assert INF not in in_order[: q._lowest]
+                # no free slot behind a byte that says filled
+                assert INF not in compress(in_order, q._free.translate(flip))
 
-    churn([q, lazy, repush], 20_000)
-    assert len(lazy._free_positions) > 2 * n  # so q has dropped some
-    assert sorted(repush._free_positions) == sorted(q._free_positions)
+    churn([q, ref], 20_000)
     for x in range(n - len(q)):
-        assert q.insert(x) == lazy.insert(x) == repush.insert(x)
-        same_as_repush([repush])
-    assert q.dag.labels == lazy.dag.labels
-    assert q.counter.count == lazy.counter.count
+        assert q.insert(x) == ref.insert(x)
+    assert q.dag.labels == ref.dag.labels
+    assert q.counter.count == ref.counter.count
     churn([q], 180_000 - n)
