@@ -52,6 +52,8 @@ class OrderedDagQueue:
         self._position = [0] * dag.n
         for pos, v in enumerate(order_list):
             self._position[v] = pos
+        # dag.labels is only ever changed in place and n is fixed, so hold both
+        self._labels, self._n = dag.labels, dag.n
         self._free = bytearray(b"\x01" * dag.n)  # 0: filled; 1: maybe free
         self._lowest = 0  # every free slot's position is at least this
         self.counter = ComparisonCounter()
@@ -59,7 +61,7 @@ class OrderedDagQueue:
 
     @property
     def capacity(self) -> int:
-        return self.dag.n
+        return self._n
 
     def __len__(self) -> int:
         return self.occupied
@@ -67,11 +69,11 @@ class OrderedDagQueue:
     def insert(self, label: Label) -> int:
         """Place a finite label at the first free slot and sift; returns the
         vertex where the label settled."""
-        if not is_finite_label(label):
+        if type(label) is not int and not is_finite_label(label):
             raise NonFiniteLabelError(f"cannot insert {label!r}")
-        if self.occupied >= self.dag.n:
+        if self.occupied >= self._n:
             raise FullQueueError("queue is full")
-        labels, order, free = self.dag.labels, self._order, self._free
+        labels, order, free = self._labels, self._order, self._free
         pos = free.find(1, self._lowest)  # not -1: some slot is free
         while labels[order[pos]] != INF:  # filled by a sift or lower_label_at
             free[pos] = 0
@@ -82,7 +84,7 @@ class OrderedDagQueue:
         if labels[v] != INF:  # else the sift pulled an INF down into v
             free[pos] = 0
         self.occupied += 1
-        return trace.terminal_vertex
+        return trace.path[-1]
 
     def get_min(self) -> tuple[int, Label]:
         """Source vertex and its label; costs zero comparisons."""
@@ -94,11 +96,12 @@ class OrderedDagQueue:
         if self.occupied == 0:
             raise EmptyQueueError("queue is empty")
         source = self.dag.source
-        smallest = self.dag.labels[source]
+        smallest = self._labels[source]
         trace = raise_label(self.dag, source, INF, self.counter)
-        pos = self._position[trace.terminal_vertex]
+        pos = self._position[trace.path[-1]]
         self._free[pos] = 1
-        self._lowest = min(self._lowest, pos)
+        if pos < self._lowest:
+            self._lowest = pos
         self.occupied -= 1
         return smallest
 
@@ -108,7 +111,7 @@ class OrderedDagQueue:
         if not is_finite_label(new_label):
             raise NonFiniteLabelError(f"cannot lower to {new_label!r}")
         # an out-of-range v is refused by lower_label before anything changes
-        was_free = 0 <= v < self.dag.n and self.dag.labels[v] == INF
+        was_free = 0 <= v < self._n and self._labels[v] == INF
         trace = lower_label(self.dag, v, new_label, self.counter)
         if was_free:
             self.occupied += 1

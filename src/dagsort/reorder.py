@@ -143,10 +143,9 @@ def lower_label(
             comparisons += len(prev)
             displaced = new_label
             for w in prev:
-                lw = labels[w]
-                if lw > displaced:
+                if labels[w] > displaced:
                     u = w
-                    displaced = lw
+                    displaced = labels[w]
             if displaced is new_label:
                 break
             labels[current] = displaced
@@ -199,10 +198,9 @@ def raise_label(
             comparisons += len(nxt)
             displaced = new_label
             for w in nxt:
-                lw = labels[w]
-                if lw < displaced:
+                if labels[w] < displaced:
                     u = w
-                    displaced = lw
+                    displaced = labels[w]
             if displaced is new_label:
                 break
             labels[current] = displaced

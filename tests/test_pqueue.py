@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from enum import IntEnum
 from itertools import compress
 from operator import itemgetter
 
@@ -94,6 +95,24 @@ def test_insert_validation():
     q.insert(2)
     with pytest.raises(FullQueueError):
         q.insert(3)
+
+
+def test_insert_admits_exact_ints_and_int_subclasses_but_not_bools():
+    class Rank(IntEnum):
+        LOW = 3
+        HIGH = 7
+
+    q = fresh_queue("path:3")
+    for label in (True, False):
+        with pytest.raises(NonFiniteLabelError):
+            q.insert(label)
+        with pytest.raises(NonFiniteLabelError):
+            q.lower_label_at(2, label)
+        assert len(q) == 0 and q.dag.labels == [INF] * 3
+    assert q.insert(Rank.HIGH) == 0
+    q.lower_label_at(2, Rank.LOW)  # a targeted insert at a free vertex
+    assert len(q) == 2 and q.dag.labels == [Rank.LOW, Rank.HIGH, INF]
+    assert q.remove_min() is Rank.LOW and q.remove_min() is Rank.HIGH
 
 
 def test_get_min():

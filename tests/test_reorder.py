@@ -126,6 +126,70 @@ def test_sift_stops_on_an_equal_extreme_neighbour(sift, labels, v, new):
     assert c.count == len(adj[v]) == 2
 
 
+def fresh_int(x: int) -> int:
+    """An int equal to x built as a new object (CPython caches only small ints)."""
+    return int(str(x))
+
+
+def test_tie_between_equal_distinct_objects_goes_to_the_smallest_id():
+    """Two neighbours hold equal big ints that are distinct objects: the
+    exchange takes the one at the smallest id, so that very object moves."""
+    g = LabeledDag.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    first, second = fresh_int(10**30), fresh_int(10**30)
+    assert first == second and first is not second
+    g.labels[:] = [1, first, second, 10**31]
+    c = ComparisonCounter()
+    trace = lower_label(g, 3, 5, c)
+    assert (trace.path, c.count) == ([3, 1], 3)
+    assert trace.moved[0] is first and g.labels[3] is first and g.labels[2] is second
+
+    g.labels[:] = [1, first, second, 10**31]
+    c = ComparisonCounter()
+    trace = raise_label(g, 0, 10**30 + 5, c)
+    assert (trace.path, c.count) == ([0, 1], 3)
+    assert trace.moved[0] is first and g.labels[0] is first and g.labels[2] is second
+
+
+@pytest.mark.parametrize(
+    "sift, edges, labels, v, path",
+    [
+        # lowered past vertex 3, then both previous neighbours of 3 tie
+        (lower_label, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)],
+         [1, fresh_int(BIG), fresh_int(BIG), 10**25, 10**26], 4, [4, 3]),
+        # raised past vertex 1, then both next neighbours of 1 tie
+        (raise_label, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)],
+         [1, 5, fresh_int(BIG), fresh_int(BIG), 10**26], 0, [0, 1]),
+    ],
+    ids=["lower", "raise"],
+)
+def test_walk_stops_on_equal_labels_held_by_distinct_objects(sift, edges, labels, v, path):
+    """Neighbours equal to the sifted label, as distinct objects, are no
+    violation: the walk stops there and pays only for the scans it made."""
+    g = LabeledDag.from_edges(5, edges)
+    g.labels[:] = labels
+    new = fresh_int(BIG)
+    assert all(new is not x for x in labels)
+    adj = g.prev_adj if sift is lower_label else g.next_adj
+    c = ComparisonCounter()
+    trace = sift(g, v, new, c)
+    assert trace.path == path and trace.moved == [labels[path[1]]]
+    assert g.labels[path[-1]] is new
+    assert c.count == sum(len(adj[u]) for u in path) == 3
+
+
+@pytest.mark.parametrize("new", [10, INF])
+@pytest.mark.parametrize("labels", [[0, INF, 4, INF], [0, INF, INF, 4], [0, 4, INF, INF]])
+def test_raise_scan_skips_inf_around_the_smallest_finite_label(labels, new):
+    g = build(Star(4))
+    g.labels[:] = labels
+    twin = g.copy()
+    c = ComparisonCounter()
+    trace = raise_label(g, 0, new, c)
+    assert (trace.path, trace.moved, c.count) == ([0, labels.index(4)], [4], 3)
+    assert g.labels[0] == 4 and g.labels[labels.index(4)] == new
+    assert raise_label_via_reversal(twin, 0, new) == trace and twin.labels == g.labels
+
+
 @given(ordered_dags(infinity_tail=True), st.data())
 def test_selectors_match_oracle(g, data):
     """Every step of either sift goes where the oracle selector points, and
@@ -480,6 +544,33 @@ def test_trace_and_counter_value_semantics():
     for obj in (trace, counter):
         with pytest.raises(AttributeError):
             obj.extra = 1  # slots: no per-instance dict
+
+
+@pytest.mark.parametrize(
+    "sift, spec, labels, v, new",
+    [
+        (lower_label, "path:4", [1, 2, 3, 4], 3, 0),  # tree loop
+        (lower_label, "hypercube:2", [1, 2, 3, 4], 3, 0),  # scan loop
+        (raise_label, "path:4", [1, 2, 3, 4], 0, 9),  # chain loop
+        (raise_label, "hypercube:2", [1, 2, 3, 4], 0, INF),  # scan loop
+        (raise_label_via_reversal, "hypercube:2", [1, 2, 3, 4], 0, 9),
+    ],
+    ids=["lower-tree", "lower-scan", "raise-chain", "raise-scan", "raise-via-reversal"],
+)
+def test_traces_the_kernels_return_are_full_values(sift, spec, labels, v, new):
+    """A returned trace behaves exactly like one made by the constructor."""
+    g = build(parse_topology(spec))
+    g.labels[:] = labels
+    trace = sift(g, v, new)
+    assert type(trace) is ExchangeTrace and len(trace.path) == len(trace.moved) + 1 > 1
+    made = ExchangeTrace(trace.path, trace.moved)
+    assert trace == made and repr(trace) == repr(made)
+    assert trace.terminal_vertex == trace.path[-1] and len(trace) == len(trace.moved)
+    assert trace.steps == made.steps
+    with pytest.raises(TypeError):
+        hash(trace)
+    with pytest.raises(AttributeError):
+        trace.extra = 1
 
 
 def test_hot_path_builds_no_steps(monkeypatch, capsys):
