@@ -36,16 +36,16 @@ def load(checkout: Path, alias: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[alias] = module
     spec.loader.exec_module(module)
-    return [importlib.import_module(f"{alias}.{m}") for m in ("cli", "pqueue", "sorting", "topologies")]
+    return [importlib.import_module(f"{alias}.{m}") for m in ("cli", "dag", "pqueue", "sorting", "topologies")]
 
 
 def one_round(mods, values: list[int], text: str) -> list[float]:
-    cli, pqueue, sorting, topologies = mods
+    cli, dag, pqueue, sorting, topologies = mods
     t, clock = topologies.Hypercube(14), time.perf_counter
-    order = topologies.hypercube_order(14)
     marks = [clock()]
     g = topologies.build(t)
     marks.append(clock())
+    order = dag.topological_order(g)  # the popcount order on every checkout
     q = pqueue.OrderedDagQueue(g, order=order)
     marks.append(clock())
     for v in values:

@@ -15,7 +15,7 @@ from dagsort import (
     hypercube_worst_case_sum,
     worst_case_input,
 )
-from dagsort.topologies import hypercube_order
+from dagsort.topologies import order_for
 
 
 def main():
@@ -29,7 +29,8 @@ def main():
         t = Hypercube(k)
         n = 1 << k
         start = time.perf_counter()
-        rep = dag_sort(build(t), worst_case_input(t), order=hypercube_order(k))
+        g = build(t)
+        rep = dag_sort(g, worst_case_input(t), order=order_for(g))
         elapsed = time.perf_counter() - start
         closed = hypercube_worst_case_closed(k)
         summed = hypercube_worst_case_sum(k)

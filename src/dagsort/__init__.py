@@ -52,7 +52,6 @@ from .topologies import (
     YoungGrid,
     bfs_order,
     build,
-    hypercube_order,
     order_for,
     parse_topology,
 )

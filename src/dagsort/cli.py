@@ -98,7 +98,7 @@ def cmd_sort(args):
             report = hypercube_sort(values)
         else:
             g = build(t)
-            report = dag_sort(g, values, order=order_for(t, g))
+            report = dag_sort(g, values, order=order_for(g))
         if report.output:
             print(" ".join(map(str, report.output)))
         # a bare hypercube may be only partly filled: bound the values actually sorted
@@ -143,7 +143,7 @@ def cmd_bench(args):
         row_seed = args.seed
         for t in topologies:
             g = build(t)
-            order = order_for(t, g)
+            order = order_for(g)
             bound = general_bound(t.stats())
             formula = (
                 str(hypercube_worst_case_closed(t.dims)) if isinstance(t, Hypercube) else ""

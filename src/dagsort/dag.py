@@ -14,7 +14,6 @@ DAG text is refused from its header when n + m exceeds ``MAX_ENTRIES``.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import CycleError, MultipleSourcesError
@@ -154,18 +153,19 @@ def _build(cls, n: int, edges, require_single_source: bool) -> LabeledDag:
 
 
 def topological_order(g: LabeledDag) -> list[int]:
-    """A topological order, by Kahn's algorithm with a FIFO queue. Only
-    validity is promised, not which of the valid orders is returned."""
-    indegree = [len(p) for p in g.prev_adj]
-    queue = deque(v for v in range(g.n) if indegree[v] == 0)
-    order = []
-    while queue:
-        u = queue.popleft()
-        order.append(u)
-        for v in g.next_adj[u]:
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                queue.append(v)
+    """Kahn's order with a FIFO queue: the sources in ascending id, then each
+    vertex as its last predecessor is taken, a taken vertex's successors in
+    ascending id. Sorts insert in this order (``topologies.order_for``), so
+    it is promised, not just some valid order."""
+    indegree = list(map(len, g.prev_adj))
+    order = [v for v in range(g.n) if not indegree[v]]
+    nxt = g.next_adj
+    for u in order:  # the list is the FIFO: vertices join its end as released
+        for v in nxt[u]:
+            left = indegree[v] - 1  # one read of indegree[v] per edge
+            indegree[v] = left
+            if not left:
+                order.append(v)
     if len(order) != g.n:
         raise CycleError("edge set contains a directed cycle")
     return order

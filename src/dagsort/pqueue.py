@@ -4,8 +4,8 @@ A vertex is a free slot exactly when its label is INF; finite labels are the
 queue contents, and the labels are the only record of which slots are free.
 The ordered property makes the source the minimum. Inserting lowers a free
 slot's label into place; remove-min raises the source's label to INF. Free
-slots are handed out by ascending position in the insertion order (a BFS
-order of the DAG), so a fresh queue fills layer by layer. One byte per
+slots are handed out by ascending position in the insertion order, which
+sorts take from ``topologies.order_for``. One byte per
 position marks the slots that may be free, and none is free below
 ``_lowest``. A set byte is only a hint: insert clears it where the label is
 finite, so the labels still decide.
@@ -30,9 +30,10 @@ class OrderedDagQueue:
     """Priority queue over a labeled DAG.
 
     ``order`` fixes where values are inserted: the free vertex at the
-    smallest order position. Defaults to the DAG's BFS order; callers may
-    pass any BFS-compatible order (the hypercube's popcount order, say).
-    All comparison costs accumulate in ``counter``.
+    smallest order position; any permutation of the vertices that starts at
+    the source. Sorts pass ``order_for(dag)``, a topological order. The BFS
+    default is kept for direct users; on a non-graded DAG it is not
+    topological, and an insert can pull INF down. Costs go to ``counter``.
     """
 
     def __init__(self, dag: LabeledDag, order=None):

@@ -3,7 +3,7 @@
 The topology decides which classical algorithm falls out: a star gives
 selection sort, a path insertion sort, a grid a Young-tableau sort, and the
 hypercube a hybrid whose exact worst-case comparison count has a closed
-form (see analysis).
+form (see analysis). Every family inserts in ``order_for(g)``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .dag import LabeledDag
 from .errors import SizeMismatchError
 from .pqueue import OrderedDagQueue
-from .topologies import Hypercube, Topology, build, hypercube_order
+from .topologies import Hypercube, Topology, build, order_for
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def hypercube_sort(values) -> SortReport:
     len(values) removals, so the unfilled slots stay at INF and never surface.
     """
     values = list(values)
-    t = Hypercube.fitting(len(values))
-    return _queue_sort(build(t), values, hypercube_order(t.dims))
+    g = build(Hypercube.fitting(len(values)))
+    return _queue_sort(g, values, order_for(g))
 
 
 def _queue_sort(g: LabeledDag, values: list, order) -> SortReport:

@@ -1,4 +1,5 @@
-"""The four DAG families the sorting algorithms run on, plus vertex orders.
+"""The four DAG families the sorting algorithms run on, plus vertex orders:
+``order_for``, where every sort inserts, and ``bfs_order``, the queue's default.
 
 star:N      one source fanning out to N-1 leaves (selection-sort shape)
 path:N      a chain (insertion-sort shape)
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 from .analysis import DagStats
-from .dag import MAX_DIMS, MAX_ENTRIES, MAX_VERTICES, LabeledDag
+from .dag import MAX_DIMS, MAX_ENTRIES, MAX_VERTICES, LabeledDag, topological_order
 from .errors import MultipleSourcesError
 
 
@@ -204,15 +205,8 @@ def bfs_order(g: LabeledDag) -> Iterator[int]:
                 queue.append(v)
 
 
-def hypercube_order(dims: int) -> list[int]:
-    """0..2^dims-1 grouped by ascending popcount, ascending value inside
-    each group (the sort is stable); a valid BFS order for the hypercube.
-    """
-    return sorted(range(1 << dims), key=int.bit_count)
-
-
-def order_for(t: Topology, g: LabeledDag) -> list[int]:
-    """Canonical insertion order for a built family member."""
-    if isinstance(t, Hypercube):
-        return hypercube_order(t.dims)
-    return list(bfs_order(g))
+def order_for(g: LabeledDag) -> list[int]:
+    """Where every sort inserts, whatever the family: g's topological order,
+    so no insert sifts INF down. It is BFS order on every star, path and 2-D
+    grid, and popcount order on every hypercube."""
+    return topological_order(g)

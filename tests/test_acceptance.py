@@ -34,7 +34,7 @@ from dagsort import (
 )
 from dagsort.cli import make_pattern
 from dagsort.random_dags import random_ordered_labels, random_single_source_dag
-from dagsort.topologies import hypercube_order, order_for
+from dagsort.topologies import order_for
 
 from support import bad_edges, longest_path_ending_at, longest_path_starting_at, replay_states
 
@@ -61,7 +61,7 @@ def test_1_exact_worst_case():
         closed = hypercube_worst_case_closed(k)
         summed = hypercube_worst_case_sum(k)
         g = build(t)
-        rep = dag_sort(g, worst_case_input(t), order=hypercube_order(k))
+        rep = dag_sort(g, worst_case_input(t), order=order_for(g))
         if not (closed == summed == rep.insert_comparisons):
             ok = False
             break
@@ -86,7 +86,7 @@ def test_2_general_bound_sweep():
     runs = violations = seed = 0
     for t in topologies:
         g = build(t)
-        order = order_for(t, g)
+        order = order_for(g)
         s = stats(g)
         bound = g.n * s.longest_path * (s.max_in_degree + s.max_out_degree)
         repeats = 3 if g.n <= 2048 else 1
@@ -163,7 +163,7 @@ def test_4_sorting_oracle():
 
     def run_exact(t, values):
         g = build(t)
-        check(dag_sort(g, values, order=order_for(t, g)), values)
+        check(dag_sort(g, values, order=order_for(g)), values)
 
     # pinned sizes: empty, singletons, and the 1024 cap on every family
     check(hypercube_sort([]), [])
@@ -335,7 +335,7 @@ def test_9_asymptotic_slope():
         values = [rng.randrange(10 * n) for _ in range(n)]
         t = Hypercube(k)
         g = build(t)
-        rep = dag_sort(g, values, order=hypercube_order(k))
+        rep = dag_sort(g, values, order=order_for(g))
         xs.append(math.log(n * math.log2(n) ** 2))
         ys.append(math.log(rep.total_comparisons))
     slope = statistics.linear_regression(xs, ys).slope

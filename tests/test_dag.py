@@ -116,6 +116,15 @@ def test_adjacency_lists_mirror_each_other(g):
         assert all(position[u] < position[v] for v in nxt)
 
 
+def test_topological_order_is_kahns_fifo_order():
+    # sources 1 and 3 in ascending id; 3 releases 0 before 2; 4 joins when
+    # its last predecessor, 2, is taken
+    g = LabeledDag.from_edges_multi_source(5, [(3, 2), (3, 0), (1, 4), (0, 4), (2, 4)])
+    assert topological_order(g) == [1, 3, 0, 2, 4]
+    chain = LabeledDag.from_edges(4, [(2, 0), (0, 3), (3, 1)])
+    assert topological_order(chain) == [2, 0, 3, 1]
+
+
 def test_text_format_infinity_and_no_labels():
     assert parse_dag_text("2 1\n0 1\nlabels: inf 5\n").labels == [INF, 5]
     bare = parse_dag_text("2 1\n0 1\n")

@@ -38,9 +38,8 @@ FAMILIES = ("star:8", "path:8", "grid:2:3", "hypercube:3")
 
 
 def fresh_queue(spec):
-    t = parse_topology(spec)
-    g = build(t)
-    return OrderedDagQueue(g, order=order_for(t, g))
+    g = build(parse_topology(spec))
+    return OrderedDagQueue(g, order=order_for(g))
 
 
 def test_create_requires_single_source_and_fresh_labels():
@@ -79,7 +78,7 @@ def test_insert_examples():
 
 def test_insert_equal_labels_never_exchange():
     q = fresh_queue("hypercube:3")
-    order = order_for(parse_topology("hypercube:3"), q.dag)
+    order = order_for(q.dag)
     for i in range(8):
         assert q.insert(5) == order[i]  # settles where it was placed
     assert q.counter.count == sum(len(q.dag.prev_adj[v]) for v in order)
@@ -191,11 +190,27 @@ def test_lowering_a_free_slot_is_an_insert():
 def test_pure_insert_prefix_property():
     for spec in FAMILIES:
         q = fresh_queue(spec)
-        order = order_for(parse_topology(spec), q.dag)
+        order = order_for(q.dag)
         for m in range(1, q.capacity + 1):
             q.insert(100 - m)
             finite = {v for v in range(q.capacity) if q.dag.labels[v] != INF}
             assert finite == set(order[:m])
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_source_dags(max_n=30), st.randoms(use_true_random=False))
+def test_fill_in_topological_order_never_displaces_inf(g, rng):
+    """Why sorts insert in ``order_for``'s topological order: every free
+    slot's predecessors are filled first, so after the i-th insert of a fill
+    exactly the first i vertices of the order hold finite labels, on any DAG
+    shape. BFS order, the queue's default, breaks this on a DAG whose BFS
+    order is not topological."""
+    order = order_for(g)
+    q = OrderedDagQueue(g, order=order)
+    labels = g.labels
+    for i in range(1, g.n + 1):
+        q.insert(rng.randrange(-g.n, g.n + 1))
+        assert [labels[v] != INF for v in order] == [True] * i + [False] * (g.n - i)
 
 
 def test_insert_after_remove_reuses_smallest_position():
@@ -320,7 +335,7 @@ def test_interface_algebra_against_multiset_oracle():
     for round_no in range(10_000):
         t = specs[round_no % len(specs)]
         g = build(t)
-        q = OrderedDagQueue(g, order=order_for(t, g))
+        q = OrderedDagQueue(g, order=order_for(g))
         oracle: list[int] = []
         for _ in range(12):
             op = rng.random()

@@ -24,7 +24,7 @@ from dagsort import (
 
 def run(t, values):
     g = build(t)
-    return dag_sort(g, values, order=order_for(t, g))
+    return dag_sort(g, values, order=order_for(g))
 
 
 def test_star_selection_sort():
@@ -42,7 +42,7 @@ def test_path_reverse_insert_count():
 def test_equal_input_costs_only_failed_tests():
     for t in (Star(6), Path(6), YoungGrid(2, 3), Hypercube(3)):
         g = build(t)
-        report = dag_sort(g, [7] * g.n, order=order_for(t, g))
+        report = dag_sort(g, [7] * g.n, order=order_for(g))
         assert report.output == [7] * g.n
         # every insert scans its target's previous neighbours and stops
         assert report.insert_comparisons == sum(map(len, g.next_adj))
@@ -118,5 +118,5 @@ def test_totals_respect_general_bound():
         bound = general_bound(stats(g))
         for _ in range(6):
             values = [rng.randint(0, 99) for _ in range(g.n)]
-            report = dag_sort(g, values, order=order_for(spec_t, g))
+            report = dag_sort(g, values, order=order_for(g))
             assert report.total_comparisons <= bound

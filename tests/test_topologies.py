@@ -16,7 +16,6 @@ from dagsort import (
     YoungGrid,
     bfs_order,
     build,
-    hypercube_order,
     order_for,
     parse_topology,
 )
@@ -282,30 +281,32 @@ def test_bfs_order_layers_are_nondecreasing(spec):
 
 
 def test_hypercube_order_frozen():
-    assert list(hypercube_order(0)) == [0]
-    assert list(hypercube_order(2)) == [0, 1, 2, 3]
-    assert list(hypercube_order(3)) == [0, 1, 2, 4, 3, 5, 6, 7]
+    assert order_for(build(Hypercube(0))) == [0]
+    assert order_for(build(Hypercube(2))) == [0, 1, 2, 3]
+    assert order_for(build(Hypercube(3))) == [0, 1, 2, 4, 3, 5, 6, 7]
 
 
-@given(st.integers(0, 10))
-def test_hypercube_order_matches_sort_oracle(dims):
-    got = list(hypercube_order(dims))
-    assert got == sorted(range(1 << dims), key=lambda v: (bin(v).count("1"), v))
+def test_hypercube_order_matches_sort_oracle():
+    """On every cube the sort path inserts in popcount order, ascending
+    value inside each layer, so its layers have the binomial sizes."""
+    for dims in range(15):
+        got = order_for(build(Hypercube(dims)))
+        assert got == sorted(range(1 << dims), key=lambda v: (bin(v).count("1"), v))
+        sizes = [0] * (dims + 1)
+        for v in got:
+            sizes[v.bit_count()] += 1
+        assert sizes == [math.comb(dims, m) for m in range(dims + 1)]
 
 
-def test_hypercube_layer_sizes():
-    for dims in range(0, 11):
-        seen = list(hypercube_order(dims))
-        for m in range(dims + 1):
-            layer = [v for v in seen if v.bit_count() == m]
-            assert len(layer) == math.comb(dims, m)
-
-
-def test_order_for_uses_popcount_order_on_hypercubes():
-    t = Hypercube(4)
-    g = build(t)
-    assert order_for(t, g) == list(hypercube_order(4))
-    assert order_for(t, g) != list(bfs_order(g))  # discovery order differs at k=4
-    tp = Path(5)
-    gp = build(tp)
-    assert order_for(tp, gp) == list(bfs_order(gp))
+def test_order_for_is_bfs_order_on_the_golden_families():
+    """The sweep's families insert in BFS order, as they did before the
+    order became topological, so their counts cannot drift silently. A
+    3-D grid is where the two orders part."""
+    sizes = [*range(1, 65), 256, 1024]
+    topologies = [Star(n) for n in sizes] + [Path(n) for n in sizes]
+    topologies += [YoungGrid(2, s) for s in range(1, 65)]
+    for t in topologies:
+        g = build(t)
+        assert order_for(g) == list(bfs_order(g)), t
+    g = build(YoungGrid(3, 3))
+    assert order_for(g) != list(bfs_order(g))
