@@ -1,5 +1,6 @@
 """A hand-built 12-vertex ordered DAG used by docs, golden tests and the
-trace tooling.
+trace tooling, kept as ``DEMO_TEXT``: the text of ``fixtures/demo12.dag``
+byte for byte, since an installed package cannot read ``fixtures/``.
 
 It has two in-degree-0 vertices (so the strict constructor rejects it), one
 pair of equal labels meeting at a shared successor, and a five-exchange
@@ -9,35 +10,30 @@ that order and settles at vertex 2.
 
 from __future__ import annotations
 
-from .dag import LabeledDag
+from .dag import LabeledDag, parse_dag_text
 
-DEMO_N = 12
-
-DEMO_EDGES = [
-    (0, 2),
-    (1, 2),
-    (1, 8),
-    (2, 3),
-    (2, 4),
-    (3, 5),
-    (3, 6),
-    (4, 5),
-    (5, 6),
-    (5, 7),
-    (5, 8),
-    (6, 7),
-    (6, 9),
-    (7, 9),
-    (8, 7),
-    (8, 9),
-    (9, 10),
-    (9, 11),
-]
-
-DEMO_LABELS = [1, 2, 4, 6, 6, 8, 8, 10, 9, 12, 14, 16]
+DEMO_TEXT = """12 18
+0 2
+1 2
+1 8
+2 3
+2 4
+3 5
+3 6
+4 5
+5 6
+5 7
+5 8
+6 7
+6 9
+7 9
+8 7
+8 9
+9 10
+9 11
+labels: 1 2 4 6 6 8 8 10 9 12 14 16
+"""
 
 
 def demo_dag() -> LabeledDag:
-    g = LabeledDag.from_edges_multi_source(DEMO_N, DEMO_EDGES)
-    g.labels[:] = DEMO_LABELS
-    return g
+    return parse_dag_text(DEMO_TEXT)

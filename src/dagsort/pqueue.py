@@ -5,10 +5,13 @@ queue contents, and the labels are the only record of which slots are free.
 The ordered property makes the source the minimum. Inserting lowers a free
 slot's label into place; remove-min raises the source's label to INF. Free
 slots are handed out by ascending position in the insertion order, which
-sorts take from ``topologies.order_for``. One byte per
-position marks the slots that may be free, and none is free below
-``_lowest``. A set byte is only a hint: insert clears it where the label is
-finite, so the labels still decide.
+sorts take from ``topologies.order_for``. One byte per position marks the
+slots that may be free, and none is free below ``_lowest``. A set byte is
+only a hint: insert clears it where the label is finite, so the labels
+still decide.
+
+``drain`` raises each minimum to ``top``, one above the largest held label,
+not to INF: only held labels are below either, so sifts and counts match.
 """
 
 from __future__ import annotations
@@ -105,6 +108,19 @@ class OrderedDagQueue:
             self._lowest = pos
         self.occupied -= 1
         return smallest
+
+    def drain(self) -> list[Label]:
+        """Remove every held label, smallest first; every label ends at INF."""
+        labels, source, dag, counter = self._labels, self.dag.source, self.dag, self.counter
+        top = max(filter(INF.__ne__, labels), default=0) + 1
+        out = []
+        for _ in range(self.occupied):
+            out.append(labels[source])
+            raise_label(dag, source, top, counter)
+        labels[:] = [INF] * self._n
+        self._free[:] = b"\x01" * self._n
+        self._lowest = self.occupied = 0
+        return out
 
     def lower_label_at(self, v: int, new_label: Label) -> ExchangeTrace:
         """Decrease the label held at v. Lowering a free (INF) slot is a

@@ -3,7 +3,8 @@
 The topology decides which classical algorithm falls out: a star gives
 selection sort, a path insertion sort, a grid a Young-tableau sort, and the
 hypercube a hybrid whose exact worst-case comparison count has a closed
-form (see analysis). Every family inserts in ``order_for(g)``.
+form (see analysis). Every family inserts in ``order_for(g)`` and removes
+through ``OrderedDagQueue.drain``, which counts as ``remove_min`` would.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ class SortReport:
 
 
 def dag_sort(g: LabeledDag, values, *, order=None) -> SortReport:
-    """Sort exactly len(values) == g.n integers through the queue.
+    """Sort exactly len(values) == g.n integers through the queue, inserting
+    in ``order``, by default ``order_for(g)``.
 
-    g must start all-INF and is returned to that state (n inserts, n
-    removals), so a built DAG can be reused across runs.
+    g must start all-INF and is returned to that state (n inserts, one
+    drain), so a built DAG can be reused across runs.
     """
     values = list(values)
     if len(values) != g.n:
@@ -48,22 +50,18 @@ def hypercube_sort(values) -> SortReport:
     len(values) removals, so the unfilled slots stay at INF and never surface.
     """
     values = list(values)
-    g = build(Hypercube.fitting(len(values)))
-    return _queue_sort(g, values, order_for(g))
+    return _queue_sort(build(Hypercube.fitting(len(values))), values)
 
 
-def _queue_sort(g: LabeledDag, values: list, order) -> SortReport:
+def _queue_sort(g: LabeledDag, values: list, order=None) -> SortReport:
     """Insert every value, then remove as many minima; len(values) <= g.n."""
-    queue = OrderedDagQueue(g, order=order)
+    queue = OrderedDagQueue(g, order=order_for(g) if order is None else order)
     for value in values:
         queue.insert(value)
     insert_comparisons = queue.counter.count
-    output = [queue.remove_min() for _ in values]
-    return SortReport(
-        output=output,
-        insert_comparisons=insert_comparisons,
-        remove_comparisons=queue.counter.count - insert_comparisons,
-    )
+    output = queue.drain()
+    remove_comparisons = queue.counter.count - insert_comparisons
+    return SortReport(output, insert_comparisons, remove_comparisons)
 
 
 def worst_case_input(t: Topology) -> list[int]:

@@ -18,7 +18,7 @@ from dagsort import (
     parse_label,
     topological_order,
 )
-from dagsort.demo import DEMO_EDGES, DEMO_LABELS, DEMO_N, demo_dag
+from dagsort.demo import DEMO_TEXT
 
 from support import assert_adjacency_consistent, single_source_dags
 
@@ -62,16 +62,17 @@ def test_multi_source_constructor_picks_lowest_root():
 
 
 def test_demo_graph_needs_the_tolerant_constructor(demo):
+    edges = [(u, v) for u, nxt in enumerate(demo.next_adj) for v in nxt]
     with pytest.raises(MultipleSourcesError):
-        LabeledDag.from_edges(DEMO_N, DEMO_EDGES)
+        LabeledDag.from_edges(demo.n, edges)
     assert demo.source == 0
-    assert demo.n == 12 and sum(map(len, demo.next_adj)) == 18
+    assert demo.n == 12 and len(edges) == 18
 
 
 def test_demo_fixture_matches_demo_module():
-    """demo.py is the source (an installed package cannot read fixtures/);
-    the committed file must parse to the same n, adjacency, labels and source."""
-    assert parse_dag_text(DEMO_FIXTURE.read_text()) == demo_dag()
+    """demo.py holds the fixture's text (an installed package cannot read
+    fixtures/), byte for byte, so the two cannot drift apart."""
+    assert DEMO_FIXTURE.read_text() == DEMO_TEXT
 
 
 def test_single_vertex():
@@ -95,7 +96,7 @@ def test_labels_multiset(demo):
     counts = Counter(demo.labels)
     assert sum(counts.values()) == 12
     assert counts == {1: 1, 2: 1, 4: 1, 6: 2, 8: 2, 9: 1, 10: 1, 12: 1, 14: 1, 16: 1}
-    assert demo.labels == DEMO_LABELS
+    assert demo.labels == [1, 2, 4, 6, 6, 8, 8, 10, 9, 12, 14, 16]
 
 
 def test_label_helpers():

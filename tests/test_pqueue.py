@@ -28,6 +28,7 @@ from dagsort import (
     lower_label,
     order_for,
     parse_topology,
+    raise_label,
 )
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_single_source_dag
@@ -97,10 +98,6 @@ def test_insert_validation():
 
 
 def test_insert_admits_exact_ints_and_int_subclasses_but_not_bools():
-    class Rank(IntEnum):
-        LOW = 3
-        HIGH = 7
-
     q = fresh_queue("path:3")
     for label in (True, False):
         with pytest.raises(NonFiniteLabelError):
@@ -156,6 +153,97 @@ def test_remove_min_returns_sorted_stream():
         for v in values:
             q.insert(v)
         assert [q.remove_min() for _ in values] == sorted(values)
+
+
+class Rank(IntEnum):
+    LOW = 3
+    HIGH = 7
+
+
+# tie-heavy labels: a few small ints, int subclasses equal to two of them,
+# and ints too large to be shared objects, so ``is`` tells copies apart
+TIED_LABELS = st.one_of(
+    st.integers(-3, 3), st.sampled_from([Rank.LOW, Rank.HIGH, 10**20, -(10**20)])
+)
+
+
+def recorded_raises(run):
+    """Call ``run()`` with ``pqueue.raise_label`` wrapped, as the benchmark's
+    tracer wraps it; return its result and the trace of every raise."""
+    traces = []
+
+    def recording(dag, v, new_label, counter=None):
+        traces.append(raise_label(dag, v, new_label, counter))
+        return traces[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dagsort.pqueue.raise_label", recording)
+        return run(), traces
+
+
+def assert_drain_matches_remove_min_loop(q, twin):
+    """Drain q and remove twin's minima one by one; both must agree on every
+    returned object, every raise's path and displaced labels, and the count,
+    and leave every label INF."""
+    held = len(q)
+    out, traces = recorded_raises(q.drain)
+    expected, twin_traces = recorded_raises(
+        lambda: [twin.remove_min() for _ in range(held)]
+    )
+    assert len(out) == len(expected) == len(traces) == held
+    assert all(a is b for a, b in zip(out, expected))
+    assert traces == twin_traces
+    assert q.counter.count == twin.counter.count
+    assert q.dag.labels == twin.dag.labels == [INF] * q.capacity
+    assert len(q) == len(twin) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    single_source_dags(max_n=24),
+    st.booleans(),
+    st.lists(TIED_LABELS, max_size=24),
+    st.lists(st.tuples(st.sampled_from("LRU"), st.integers(0, 99), TIED_LABELS), max_size=8),
+    st.lists(TIED_LABELS, max_size=24),
+)
+def test_drain_matches_a_remove_min_loop(g, topological, fill, ops, refill):
+    """A drain raises each minimum to one above the largest held label, not
+    to INF, yet must act as a loop of ``remove_min``: on trees, chains and
+    DAGs whose BFS order is not topological, after a full or partial fill in
+    either order, after targeted lowering (of free slots too), raising and
+    removals, and again after the drained queue is refilled."""
+    order = order_for(g) if topological else None
+    q, twin = OrderedDagQueue(g, order=order), OrderedDagQueue(g.copy(), order=order)
+    for x in fill[: g.n]:
+        assert q.insert(x) == twin.insert(x)
+    for kind, pick, x in ops:
+        labels = q.dag.labels
+        if kind == "U" and len(q):
+            assert q.remove_min() is twin.remove_min()
+        elif kind == "L":
+            v = pick % g.n
+            new = x if labels[v] == INF else labels[v] - 1 - pick % 3
+            assert q.lower_label_at(v, new) == twin.lower_label_at(v, new)
+        elif kind == "R" and len(q):
+            v = [u for u in range(g.n) if labels[u] != INF][pick % len(q)]
+            new = labels[v] + 1 + pick % 3
+            assert q.raise_label_at(v, new) == twin.raise_label_at(v, new)
+        assert q.dag.labels == twin.dag.labels
+    assert_drain_matches_remove_min_loop(q, twin)
+    for x in refill[: g.n]:
+        assert q.insert(x) == twin.insert(x)
+    assert q.dag.labels == twin.dag.labels
+    assert_drain_matches_remove_min_loop(q, twin)
+
+
+def test_drain_of_an_empty_queue_returns_nothing():
+    q = fresh_queue("grid:2:3")
+    assert q.drain() == []
+    q.insert(4)
+    assert q.drain() == [4]
+    assert q.drain() == []
+    assert q.counter.count == 2  # the one removal's raise: two successors
+    assert q.dag.labels == [INF] * q.capacity and len(q) == 0
 
 
 def test_targeted_lower_and_raise():

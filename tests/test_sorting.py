@@ -3,13 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagsort import (
+    INF,
     Hypercube,
+    LabeledDag,
     Path,
     SizeMismatchError,
     Star,
     YoungGrid,
+    bfs_order,
     build,
     dag_sort,
     general_bound,
@@ -20,6 +25,8 @@ from dagsort import (
     stats,
     worst_case_input,
 )
+
+from support import single_source_dags
 
 
 def run(t, values):
@@ -61,6 +68,26 @@ def test_dag_sort_leaves_graph_reusable():
     first = dag_sort(g, [4, 3, 2, 1])
     second = dag_sort(g, [4, 3, 2, 1])
     assert first == second
+
+
+@settings(max_examples=200, deadline=None)
+@given(single_source_dags(max_n=30), st.randoms(use_true_random=False))
+def test_dag_sort_inserts_in_order_for_by_default(g, rng):
+    """With no ``order``, a sort fills in ``order_for(g)``, a topological
+    order, not the queue's BFS default, on trees, chains and DAGs whose BFS
+    order is not topological; it sorts and leaves every label INF."""
+    values = [rng.randrange(-3, 4) for _ in range(g.n)]
+    report = dag_sort(g, values)
+    assert g.labels == [INF] * g.n
+    assert report == dag_sort(g, values, order=order_for(g))
+    assert report.output == sorted(values)
+
+
+def test_dag_sort_default_is_not_bfs_order():
+    # BFS visits 1 before 2, but 2 precedes 1: filling 1 first pulls INF down
+    g = LabeledDag.from_edges(3, [(0, 1), (0, 2), (2, 1)])
+    assert dag_sort(g, [3, 2, 1]).insert_comparisons == 4
+    assert dag_sort(g, [3, 2, 1], order=bfs_order(g)).insert_comparisons == 6
 
 
 def test_hypercube_sort_picks_appropriate_dims():
