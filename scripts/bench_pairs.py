@@ -1,16 +1,17 @@
 """Alternating benchmark pairs of two checkouts, judged by the pairs rule.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE WORKLOAD PAIRS FIRST_SEED
+    python3 scripts/bench_pairs.py PARENT CHANGE WORKLOAD[,WORKLOAD...] PAIRS FIRST_SEED
 
-Pair i runs ``perfbench/run.py --workload WORKLOAD --seed FIRST_SEED+i
---seconds S --trace 0`` in each checkout, S being ``run_seconds`` from the
-parent's BENCHMARK.json; the parent runs first in even pairs, the change in
-odd ones. One JSON object goes to standard output: for every end-to-end
-metric, each side's runs, median and quartiles, the pairs each side won
-(ties count for neither), ``gain`` (the change won at least 9/10 of the pairs
-and the medians differ by more than the parent's interquartile range, in the
-better direction) and ``within_bound`` (the change's median is no worse than
-the parent's by more than the metric's bound; "unresolved" when the parent's
+Pair i runs ``perfbench/run.py --workload W --seed FIRST_SEED+i --seconds S
+--trace 0`` in each checkout for every listed workload W in turn, S being
+``run_seconds`` from the parent's BENCHMARK.json; the parent runs first in
+even pairs, the change in odd ones. One JSON object goes to standard output,
+keyed by workload. Each value holds, for every end-to-end metric, each
+side's runs, median and quartiles, the pairs each side won (ties count for
+neither), ``gain`` (the change won at least 9/10 of the pairs and the
+medians differ by more than the parent's interquartile range, in the better
+direction) and ``within_bound`` (the change's median is no worse than the
+parent's by more than the metric's bound; "unresolved" when the parent's
 interquartile range exceeds the bound, unless every change run beats every
 parent run); plus incorrect runs and failed operations per side.
 """
@@ -55,27 +56,32 @@ def judge(spec: dict, parent: list[float], change: list[float]) -> dict:
 
 def main(argv: list[str]) -> int:
     parent, change = Path(argv[0]).resolve(), Path(argv[1]).resolve()
-    workload, pairs, first_seed = argv[2], int(argv[3]), int(argv[4])
+    workloads, pairs, first_seed = argv[2].split(","), int(argv[3]), int(argv[4])
     bench = json.loads((parent / "BENCHMARK.json").read_text())
-    results = {"parent": [], "change": []}
+    results = {w: {"parent": [], "change": []} for w in workloads}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for name in order:
-            checkout = parent if name == "parent" else change
-            results[name].append(run(checkout, workload, first_seed + i, bench["run_seconds"]))
-            print(f"pair {i} {name}: {results[name][-1]['metrics']['run_ref']['value']:.4f}",
-                  file=sys.stderr)
-    report = {"workload": workload, "pairs": pairs, "seeds": [first_seed, first_seed + pairs - 1],
-              "seconds": bench["run_seconds"], "metrics": {}}
-    for spec in bench["end_to_end"]:
-        name = spec["name"]
-        report["metrics"][name] = judge(spec, *([r["metrics"][name]["value"] for r in results[s]]
-                                                for s in ("parent", "change")))
-    for s in ("parent", "change"):
-        report[f"{s}_incorrect_runs"] = sum(not r["correct"] for r in results[s])
-        report[f"{s}_failed_ops"] = sum(r["failed"] for r in results[s])
-        report[f"{s}_attempted_ops"] = sum(r["attempted"] for r in results[s])
-    print(json.dumps(report, indent=1))
+        for workload in workloads:
+            for name in order:
+                checkout = parent if name == "parent" else change
+                runs = results[workload][name]
+                runs.append(run(checkout, workload, first_seed + i, bench["run_seconds"]))
+                print(f"pair {i} {workload} {name}: "
+                      f"{runs[-1]['metrics']['run_ref']['value']:.4f}", file=sys.stderr)
+    reports = {}
+    for workload, sides in results.items():
+        report = {"pairs": pairs, "seeds": [first_seed, first_seed + pairs - 1],
+                  "seconds": bench["run_seconds"], "metrics": {}}
+        for spec in bench["end_to_end"]:
+            name = spec["name"]
+            report["metrics"][name] = judge(spec, *([r["metrics"][name]["value"] for r in sides[s]]
+                                                    for s in ("parent", "change")))
+        for s in ("parent", "change"):
+            report[f"{s}_incorrect_runs"] = sum(not r["correct"] for r in sides[s])
+            report[f"{s}_failed_ops"] = sum(r["failed"] for r in sides[s])
+            report[f"{s}_attempted_ops"] = sum(r["attempted"] for r in sides[s])
+        reports[workload] = report
+    print(json.dumps(reports, indent=1))
     return 0
 
 

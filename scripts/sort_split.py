@@ -15,10 +15,7 @@ insert phase, a loop of ``queue.insert``; the remove phase, a loop of
 standard streams. One JSON object goes to standard output: per checkout and
 phase, the median and quartiles of the seconds, and the median over rounds
 of the ratio to the first checkout's time in the same round, with the number
-of rounds in which that ratio was below 1. A checkout whose queue has no
-``drain`` reports ``null`` for that phase, and so do the ratios of every
-checkout when the first has none, so older checkouts still run beside newer
-ones.
+of rounds in which that ratio was below 1.
 """
 
 import importlib.util
@@ -44,9 +41,9 @@ def load(checkout: Path, alias: str):
     return [importlib.import_module(f"{alias}.{m}") for m in ("cli", "dag", "pqueue", "sorting", "topologies")]
 
 
-def one_round(mods, values: list[int], text: str) -> list[float | None]:
+def one_round(mods, values: list[int], text: str) -> list[float]:
     cli, dag, pqueue, sorting, topologies = mods
-    clock, seconds = time.perf_counter, dict.fromkeys(PHASES)
+    clock, seconds = time.perf_counter, {}
     start = clock()
 
     def lap(phase: str) -> None:  # seconds since the last lap or restart
@@ -65,12 +62,11 @@ def one_round(mods, values: list[int], text: str) -> list[float | None]:
     for _ in values:
         q.remove_min()
     lap("remove")
-    if hasattr(q, "drain"):  # else the phase stays None
-        for v in values:
-            q.insert(v)
-        start = clock()
-        q.drain()
-        lap("drain")
+    for v in values:
+        q.insert(v)
+    start = clock()
+    q.drain()
+    lap("drain")
     start = clock()
     sorting.dag_sort(g, values, order=order)
     lap("dag_sort")
@@ -100,16 +96,11 @@ def main(argv: list[str]) -> int:
     for c, name in enumerate(checkouts):
         report[name] = {}
         for p, phase in enumerate(PHASES):
-            if None in times[c][p]:  # a checkout without this phase
-                report[name][phase] = None
-                continue
             q1, median, q3 = statistics.quantiles(times[c][p], n=4, method="inclusive")
+            ratios = [x / y for x, y in zip(times[c][p], times[0][p])]
             report[name][phase] = {"median_s": median, "q1_s": q1, "q3_s": q3,
-                                   "ratio_to_first": None, "rounds_below_1": None}
-            if None not in times[0][p]:
-                ratios = [x / y for x, y in zip(times[c][p], times[0][p])]
-                report[name][phase].update(ratio_to_first=statistics.median(ratios),
-                                           rounds_below_1=sum(x < 1 for x in ratios))
+                                   "ratio_to_first": statistics.median(ratios),
+                                   "rounds_below_1": sum(x < 1 for x in ratios)}
     print(json.dumps({"rounds": rounds, "phases": report}, indent=1))
     return 0
 

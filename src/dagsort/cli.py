@@ -30,7 +30,9 @@ from .analysis import (
 from .dag import INF, MAX_DIMS, MAX_ENTRIES, LabeledDag, format_label, parse_dag_text
 from .errors import CycleError, SizeMismatchError
 from .random_dags import random_ordered_labels, random_single_source_dag
-from .reorder import format_trace, lower_label, raise_label, raise_label_via_reversal
+from .reorder import (
+    ComparisonCounter, format_trace, lower_label, raise_label, raise_label_via_reversal
+)
 from .sorting import dag_sort, hypercube_sort
 from .topologies import Hypercube, Topology, build, order_for, parse_topology
 from .tracefmt import dot_snapshots
@@ -218,9 +220,12 @@ def _verify_dags(rng: random.Random, n: int) -> tuple[LabeledDag, LabeledDag]:
     return dense, LabeledDag.from_edges(n, zip(ids, ids[1:]))
 
 
-def _verify_sift_properties(seed: int, runs: int) -> tuple[bool, bool]:
+def _verify_sifts(seed: int, runs: int) -> tuple[bool, bool, bool]:
+    """The sift suites in one random pass: every sift must leave g ordered
+    with only the one label replaced, and every raise must match
+    ``raise_label_via_reversal`` on a copy in trace, labels and count."""
     rng = random.Random(seed)
-    ordered_ok = multiset_ok = True
+    ordered_ok = multiset_ok = mirror_ok = True
     for _ in range(runs):
         for g in _verify_dags(rng, rng.randint(1, 40)):
             random_ordered_labels(rng, g, infinity_tail=rng.randint(0, 2))
@@ -233,29 +238,18 @@ def _verify_sift_properties(seed: int, runs: int) -> tuple[bool, bool]:
                     lower_label(g, v, new)
                 else:
                     new = old + rng.randint(1, 10)
-                    raise_label(g, v, new)
+                    twin = g.copy()
+                    count, twin_count = ComparisonCounter(), ComparisonCounter()
+                    trace = raise_label(g, v, new, count)
+                    twin_trace = raise_label_via_reversal(twin, v, new, twin_count)
+                    mirror_ok &= (trace, g.labels, count.count) == (
+                        twin_trace, twin.labels, twin_count.count
+                    )
                 before[old] -= 1
                 before[new] += 1
-                if not g.is_ordered():
-                    ordered_ok = False
-                if +before != +Counter(g.labels):
-                    multiset_ok = False
-    return ordered_ok, multiset_ok
-
-
-def _verify_raise_equivalence(seed: int, runs: int) -> bool:
-    rng = random.Random(seed)
-    for _ in range(runs):
-        for g in _verify_dags(rng, rng.randint(1, 40)):
-            random_ordered_labels(rng, g)
-            twin = g.copy()
-            v = rng.randrange(g.n)
-            new = g.labels[v] + rng.randint(1, 15)
-            direct = raise_label(g, v, new)
-            reversed_run = raise_label_via_reversal(twin, v, new)
-            if g.labels != twin.labels or direct != reversed_run:
-                return False
-    return True
+                ordered_ok &= g.is_ordered()
+                multiset_ok &= +before == +Counter(g.labels)
+    return ordered_ok, multiset_ok, mirror_ok
 
 
 def _verify_entropy_bound(seed: int, runs: int) -> bool:
@@ -283,11 +277,11 @@ def _verify_golden_trace() -> bool:
 
 def cmd_verify(args):
     def run() -> int:  # nothing to admit: every suite is a check of the program
-        ordered_ok, multiset_ok = _verify_sift_properties(args.seed, args.runs)
+        ordered_ok, multiset_ok, mirror_ok = _verify_sifts(args.seed, args.runs)
         suites = [
             ("ordered-after-sift", ordered_ok),
             ("multiset-conservation", multiset_ok),
-            ("raise-equivalence", _verify_raise_equivalence(args.seed + 1, args.runs)),
+            ("raise-equivalence", mirror_ok),
             ("entropy-bound", _verify_entropy_bound(args.seed + 2, args.runs)),
             ("golden-trace", _verify_golden_trace()),
         ]

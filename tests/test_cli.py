@@ -274,6 +274,30 @@ def test_verify_failing_suite_exits_1(monkeypatch, capsys):
     )
 
 
+def test_verify_checks_the_raise_comparison_count(monkeypatch, capsys):
+    """A raise that sifts right but counts one comparison too many fails
+    raise-equivalence, and only it: the suite compares each raise's count
+    with the reversal's, not just its trace and labels."""
+    raise_label = cli.raise_label
+
+    def overcounting(g, v, new_label, counter=None):
+        trace = raise_label(g, v, new_label, counter)
+        if counter is not None:
+            counter.count += 1
+        return trace
+
+    monkeypatch.setattr(cli, "raise_label", overcounting)
+    rc, out, _ = run_cli(["verify", "--runs", "20"], capsys=capsys)
+    assert rc == 1
+    assert out == (
+        "PASS ordered-after-sift\n"
+        "PASS multiset-conservation\n"
+        "FAIL raise-equivalence\n"
+        "PASS entropy-bound\n"
+        "PASS golden-trace\n"
+    )
+
+
 def test_trace_text_golden(capsys):
     rc, out, err = run_cli(
         [

@@ -331,7 +331,7 @@ def test_non_graded_dag_keeps_bookkeeping_exact():
     # Edge (2, 1) stays inside one BFS layer: inserting at vertex 1 displaces
     # the INF at vertex 2, so the free-slot set must follow the sift.
     g = LabeledDag.from_edges(3, [(0, 1), (0, 2), (2, 1)])
-    q = OrderedDagQueue(g)
+    q = OrderedDagQueue(g, order=bfs_order(g))
     q.insert(10)
     q.insert(5)  # goes to vertex 1; its INF-labeled neighbour 2 gets dragged in
     assert q.occupied == 2
@@ -345,7 +345,7 @@ def test_insert_that_pulls_inf_down_keeps_its_slot_first(monkeypatch):
     # vertex 1's previous neighbours are 0 and the INF at 2, so inserting at 1
     # swaps that INF into 1, which stays the first free slot
     g = LabeledDag.from_edges(3, [(0, 1), (0, 2), (2, 1)])
-    q = OrderedDagQueue(g)
+    q = OrderedDagQueue(g, order=bfs_order(g))
     starts = []
 
     def recording(dag, v, new_label, counter=None):
@@ -480,7 +480,7 @@ def test_queue_fuzz_on_non_graded_dags(g, ops):
     free vertex pulls INF down from a free parent, and ``remove_min`` raises
     INF along the chain."""
     n = g.n
-    q = OrderedDagQueue(g)
+    q = OrderedDagQueue(g, order=bfs_order(g))
     position = {v: i for i, v in enumerate(bfs_order(g))}
     oracle = Counter()
     for kind, x, pick in ops:
@@ -538,7 +538,7 @@ def test_free_slot_map_hands_out_the_first_free_slot_under_churn():
     rng = random.Random(512)
     n = 512
     g = random_single_source_dag(rng, n)
-    q, ref = OrderedDagQueue(g), ScanQueue(g.copy())
+    q, ref = OrderedDagQueue(g, order=bfs_order(g)), ScanQueue(g.copy())
     labels_in_order = itemgetter(*q._order)
     flip = bytes.maketrans(b"\0\1", b"\1\0")  # 1 where a byte says filled
 
