@@ -165,6 +165,8 @@ def cmd_bench(args):
 
 
 def cmd_trace(args):
+    if args.out and args.format != "dot":
+        raise ValueError("--out needs --format dot")
     g = parse_dag_text(Path(args.input).read_text())
     if not 0 <= args.vertex < g.n:
         raise ValueError(f"vertex {args.vertex} out of range")
@@ -276,7 +278,10 @@ def _verify_golden_trace() -> bool:
 
 
 def cmd_verify(args):
-    def run() -> int:  # nothing to admit: every suite is a check of the program
+    if args.runs < 1:  # the sift suites would check nothing, yet print PASS
+        raise ValueError(f"--runs must be at least 1, got {args.runs}")
+
+    def run() -> int:
         ordered_ok, multiset_ok, mirror_ok = _verify_sifts(args.seed, args.runs)
         suites = [
             ("ordered-after-sift", ordered_ok),

@@ -14,7 +14,7 @@ DAG text is refused from its header when n + m exceeds ``MAX_ENTRIES``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CycleError, MultipleSourcesError
 
@@ -93,14 +93,41 @@ class LabeledDag:
         range, then self-loop, per edge in input order; repeats per sorted
         successor list (smallest ``u`` first); cycles (``CycleError``); one
         in-degree-0 vertex, which then reaches every vertex of the DAG."""
-        return _build(cls, n, edges, require_single_source=True)
+        g = cls.from_edges_multi_source(n, edges)
+        if g.prev_adj.count([]) != 1:
+            raise MultipleSourcesError(
+                f"expected exactly one in-degree-0 vertex, found {g.prev_adj.count([])}"
+            )
+        return g
 
     @classmethod
     def from_edges_multi_source(cls, n: int, edges) -> "LabeledDag":
         """Like from_edges but tolerates several in-degree-0 vertices; the
         lowest-indexed one becomes ``source``. Cycles are still rejected.
         """
-        return _build(cls, n, edges, require_single_source=False)
+        if n <= 0:
+            raise ValueError(f"vertex count must be positive, got {n}")
+        nxt: list[list[int]] = [[] for _ in range(n)]
+        prev: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            nxt[u].append(v)
+            prev[v].append(u)
+        for u, lst in enumerate(nxt):
+            lst.sort()
+            prev[u].sort()
+            if len(set(lst)) < len(lst):
+                v = next(a for a, b in zip(lst, lst[1:]) if a == b)
+                raise ValueError(f"duplicate edge ({u}, {v})")
+        g = cls(n=n, prev_adj=prev, next_adj=nxt, labels=[INF] * n, source=0)
+        # ids that rise along every edge cannot close a cycle
+        if any(lst and lst[0] < u for u, lst in enumerate(nxt)):
+            topological_order(g)  # raises CycleError
+        g.source = prev.index([])
+        return g
 
     def is_ordered(self) -> bool:
         labels = self.labels
@@ -112,44 +139,12 @@ class LabeledDag:
         return True
 
     def copy(self) -> "LabeledDag":
-        return LabeledDag(
-            n=self.n,
+        return replace(
+            self,
             prev_adj=[list(p) for p in self.prev_adj],
             next_adj=[list(p) for p in self.next_adj],
             labels=list(self.labels),
-            source=self.source,
         )
-
-
-def _build(cls, n: int, edges, require_single_source: bool) -> LabeledDag:
-    if n <= 0:
-        raise ValueError(f"vertex count must be positive, got {n}")
-    nxt: list[list[int]] = [[] for _ in range(n)]
-    prev: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        nxt[u].append(v)
-        prev[v].append(u)
-    for u, lst in enumerate(nxt):
-        lst.sort()
-        prev[u].sort()
-        if len(set(lst)) < len(lst):
-            v = next(a for a, b in zip(lst, lst[1:]) if a == b)
-            raise ValueError(f"duplicate edge ({u}, {v})")
-
-    g = cls(n=n, prev_adj=prev, next_adj=nxt, labels=[INF] * n, source=0)
-    # ids that rise along every edge cannot close a cycle
-    if any(lst and lst[0] < u for u, lst in enumerate(nxt)):
-        topological_order(g)  # raises CycleError
-    g.source = prev.index([])
-    if require_single_source and prev.count([]) != 1:
-        raise MultipleSourcesError(
-            f"expected exactly one in-degree-0 vertex, found {prev.count([])}"
-        )
-    return g
 
 
 def topological_order(g: LabeledDag) -> list[int]:

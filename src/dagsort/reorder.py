@@ -33,7 +33,7 @@ once, when it ends. Every count in the package is in these units.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .dag import Label, LabeledDag, format_label
@@ -235,14 +235,7 @@ def raise_label_via_reversal(
     labels = g.labels
     for i in range(g.n):
         labels[i] = -labels[i]
-    # source is meaningless on the reversed view; the sift never consults it
-    reversed_view = LabeledDag(
-        n=g.n,
-        prev_adj=g.next_adj,
-        next_adj=g.prev_adj,
-        labels=labels,
-        source=g.source,
-    )
+    reversed_view = replace(g, prev_adj=g.next_adj, next_adj=g.prev_adj)
     inner = lower_label(reversed_view, v, -new_label, counter)
     for i in range(g.n):
         labels[i] = -labels[i]

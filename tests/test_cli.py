@@ -244,6 +244,13 @@ def test_verify_passes(capsys):
     }
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_verify_refuses_runs_below_one(runs, capsys):
+    rc, out, err = run_cli(["verify", "--runs", runs], capsys=capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --runs must be at least 1, got {runs}\n"
+
+
 def test_verify_draws_trees_and_chains():
     """Each run of the sift suites draws a denser DAG and, beside it, a tree
     or a chain, so the one-neighbour sift loops are checked too and the
@@ -452,11 +459,17 @@ def test_trace_bad_arguments_exit_2(tmp_path, capsys):
              "--out", str(blocker)],
             f"[Errno 17] File exists: '{blocker}'",
         ),
+        (  # refused before the input is read, so the missing file goes unnamed
+            ["--input", missing, "--vertex", "0", "--new-label", "0",
+             "--format", "text", "--out", str(tmp_path / "snaps")],
+            "--out needs --format dot",
+        ),
     ]
     for argv, message in cases:
         rc, out, err = run_cli(["trace", *argv], capsys=capsys)
         assert (rc, out) == (2, ""), argv
         assert err == f"error: {message}\n", argv
+    assert not (tmp_path / "snaps").exists()
 
 
 def _raise(exc):

@@ -325,8 +325,11 @@ def test_reversal_equivalence_star_example():
 
 def test_reversal_restores_signs_and_orientation(demo):
     before = demo.copy()
+    lists = demo.labels, demo.prev_adj, demo.next_adj
     raise_label_via_reversal(demo, 0, 3)
     assert (demo.prev_adj, demo.next_adj) == (before.prev_adj, before.next_adj)
+    # the same list objects: a queue over this DAG holds ``dag.labels``
+    assert all(a is b for a, b in zip(lists, (demo.labels, demo.prev_adj, demo.next_adj)))
     assert all(l > 0 for l in demo.labels)
     assert demo.is_ordered()
 
