@@ -133,6 +133,24 @@ def test_text_format_infinity_and_no_labels():
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "2",
+        "2 1",
+        "2 1\n0 one",
+        "2 1\n0 1\nlabels: 3",
+        "2 1\n0 1\nlabels: 3 x",
+        "2 1\n0 1\nextra 1 2",
+        "3 2\n0 1\n1 0\n",
+    ],
+)
+def test_text_format_rejects_malformed(text):
+    with pytest.raises((ValueError, CycleError)):
+        parse_dag_text(text)
+
+
+@pytest.mark.parametrize(
     "text, error, message",
     [
         ("", ValueError, "expected 'n m' header"),

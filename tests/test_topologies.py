@@ -129,6 +129,14 @@ def test_parse_and_format_round_trip():
         assert str(parse_topology(spec)) == spec
 
 
+@pytest.mark.parametrize(
+    "spec", ["star:0", "path:-1", "grid:2", "grid:x:3", "hypercube", "ring:5", "star:a"]
+)
+def test_parse_rejects_bad_specs(spec):
+    with pytest.raises(ValueError):
+        parse_topology(spec)
+
+
 PARSE_FAULTS = [
     ("star:0", ValueError, "star:0: need n >= 1"),
     ("path:-1", ValueError, "path:-1: need n >= 1"),
