@@ -27,7 +27,7 @@ class DagStats:
 
 def stats(g: LabeledDag) -> DagStats:
     """Longest source-to-anywhere path (in edges), by DP over a topological
-    order, and g's stored degree maxima. Single-source DAGs only.
+    order, and g's degree maxima. Single-source DAGs only.
     """
     if sum(1 for p in g.prev_adj if not p) != 1:
         raise MultipleSourcesError("stats requires a single-source DAG")
@@ -40,8 +40,8 @@ def stats(g: LabeledDag) -> DagStats:
     return DagStats(
         n=g.n,
         longest_path=max(dist),
-        max_in_degree=g.max_in_degree,
-        max_out_degree=g.max_out_degree,
+        max_in_degree=max(map(len, g.prev_adj)),
+        max_out_degree=max(map(len, g.next_adj)),
     )
 
 

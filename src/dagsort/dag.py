@@ -52,8 +52,9 @@ class LabeledDag:
     ``prev_adj[v]`` and ``next_adj[v]`` list in- and out-neighbours in
     ascending vertex order; they always mirror each other. ``source`` is the
     designated in-degree-0 vertex (the lowest-indexed one when several exist).
-    Adjacency is fixed once a DAG is made, and ``max_in_degree`` and
-    ``max_out_degree`` are derived from it then.
+    Adjacency is fixed once a DAG is made. ``lone_prev[v]`` (``lone_next[v]``),
+    derived from it then, is v's only previous (next) neighbour or None;
+    the field is None when some vertex has two, so only trees (chains) have it.
     """
 
     n: int
@@ -61,12 +62,12 @@ class LabeledDag:
     next_adj: list[list[int]]
     labels: list[Label]
     source: int
-    max_in_degree: int = field(init=False, compare=False, repr=False)
-    max_out_degree: int = field(init=False, compare=False, repr=False)
+    lone_prev: list[int | None] | None = field(init=False, compare=False, repr=False)
+    lone_next: list[int | None] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.max_in_degree = max(map(len, self.prev_adj), default=0)
-        self.max_out_degree = max(map(len, self.next_adj), default=0)
+        self.lone_prev = _lone_neighbours(self.prev_adj)
+        self.lone_next = _lone_neighbours(self.next_adj)
 
     @classmethod
     def from_successors(cls, next_adj: list[list[int]]) -> "LabeledDag":
@@ -145,6 +146,13 @@ class LabeledDag:
             next_adj=[list(p) for p in self.next_adj],
             labels=list(self.labels),
         )
+
+
+def _lone_neighbours(adj: list[list[int]]) -> list[int | None] | None:
+    """Each vertex's only neighbour or None; None if any vertex has two."""
+    if max(map(len, adj), default=0) > 1:
+        return None
+    return [one[0] if one else None for one in adj]
 
 
 def topological_order(g: LabeledDag) -> list[int]:

@@ -46,9 +46,8 @@ class OrderedDagQueue:
             raise NotAllInfinityError("queue creation requires all labels at INF")
         self.dag = dag
         order_list = list(order) if order is not None else list(bfs_order(dag))
-        # n distinct members of range(n) are a permutation of it
-        distinct = len(order_list) == len(set(order_list)) == dag.n
-        if not (distinct and all(map(range(dag.n).__contains__, order_list))):
+        # n entries that include all n vertices are a permutation of them
+        if len(order_list) != dag.n or not set(order_list).issuperset(range(dag.n)):
             raise ValueError("order must be a permutation of the vertices")
         if order_list[0] != dag.source:
             raise ValueError("order must start at the source")

@@ -4,8 +4,8 @@ Lowering a label walks it toward the source, repeatedly swapping with the
 largest violating previous neighbour; raising mirrors that toward the sinks
 with the smallest violating next neighbour. Each direction is one
 self-contained kernel that scans the neighbourhood inline, ties going to the
-smallest vertex id (the first in the ascending adjacency list); where no
-vertex has two neighbours on the scan side, it follows the one edge.
+smallest vertex id (the first in the ascending adjacency list). Lowering on
+a tree (raising on a chain) follows ``lone_prev`` (``lone_next``) instead.
 Raising can also be phrased as lowering the negated label on the
 edge-reversed DAG, which ``raise_label_via_reversal`` implements as a
 cross-check.
@@ -26,9 +26,9 @@ a caller outside the package reads ``ExchangeTrace.steps``.
 Cost model: selecting among a vertex's m previous (or next) neighbours costs
 exactly m label comparisons when m >= 1 (m - 1 to find the extreme neighbour
 plus one violation test) and 0 when m = 0. A one-neighbour step is that
-single comparison with no scan, taken on any tree when lowering (star,
-path) and on a chain when raising. A sift adds its total to the counter
-once, when it ends. Every count in the package is in these units.
+single comparison: one read of the flat array, no adjacency list, no scan.
+A sift adds its total to the counter once, when it ends. Every count in the
+package is in these units.
 """
 
 from __future__ import annotations
@@ -122,9 +122,8 @@ def lower_label(
     current = v
     path = [v]
     moved: list[Label] = []
-    if g.max_in_degree < 2:  # a tree: follow the one previous neighbour, no scan
-        while one := prev_adj[current]:
-            u = one[0]
+    if (lone := g.lone_prev) is not None:  # a tree: follow the one edge, no scan
+        while (u := lone[current]) is not None:
             displaced = labels[u]
             if not displaced > new_label:
                 break
@@ -132,7 +131,7 @@ def lower_label(
             path.append(u)
             moved.append(displaced)
             current = u
-        comparisons = len(moved) + len(prev_adj[current])
+        comparisons = len(moved) + (u is not None)  # a stop paid its one test
     else:
         comparisons = 0
         while True:
@@ -180,9 +179,8 @@ def raise_label(
     current = v
     path = [v]
     moved: list[Label] = []
-    if g.max_out_degree < 2:  # a chain: follow the one next neighbour, no scan
-        while one := next_adj[current]:
-            u = one[0]
+    if (lone := g.lone_next) is not None:  # a chain: follow the one edge, no scan
+        while (u := lone[current]) is not None:
             displaced = labels[u]
             if not displaced < new_label:
                 break
@@ -190,7 +188,7 @@ def raise_label(
             path.append(u)
             moved.append(displaced)
             current = u
-        comparisons = len(moved) + len(next_adj[current])
+        comparisons = len(moved) + (u is not None)  # a stop paid its one test
     else:
         comparisons = 0
         while True:

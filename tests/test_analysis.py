@@ -33,6 +33,10 @@ def test_stats_examples():
     assert stats(build(Path(5))) == DagStats(5, 4, 1, 1)
     assert stats(build(YoungGrid(2, 3))) == DagStats(9, 4, 2, 2)
     assert stats(build(Hypercube(0))) == DagStats(1, 0, 0, 0)
+    assert stats(build(Star(8))) == DagStats(8, 1, 1, 7)
+    # the maxima come from the adjacency, not from the tree's lone_prev array
+    tree = random_single_source_dag(random.Random(1), 30, extra_edges=0)
+    assert stats(tree) == DagStats(30, dfs_longest_path_from_source(tree), 1, 9)
 
 
 def test_stats_rejects_multi_source():

@@ -257,9 +257,9 @@ def test_verify_draws_trees_and_chains():
     neighbour scans as often as before. A chain's ids are shuffled."""
     rng = random.Random(0)
     drawn = [cli._verify_dags(rng, 12) for _ in range(60)]
-    assert all(dense.max_in_degree >= 2 for dense, _ in drawn)
-    assert all(other.max_in_degree < 2 for _, other in drawn)
-    chains = [other for _, other in drawn if other.max_out_degree < 2]
+    assert all(dense.lone_prev is None for dense, _ in drawn)
+    assert all(other.lone_prev is not None for _, other in drawn)
+    chains = [other for _, other in drawn if other.lone_next is not None]
     assert 0 < len(chains) < len(drawn)
     assert len({tuple(map(tuple, g.next_adj)) for g in chains}) > 1
 

@@ -224,8 +224,8 @@ def test_surplus_labels_are_counted_not_split():
 def test_copy_is_independent(demo):
     twin = demo.copy()
     assert type(twin) is LabeledDag
-    assert (twin.n, twin.source, twin.max_in_degree, twin.max_out_degree) == (
-        demo.n, demo.source, demo.max_in_degree, demo.max_out_degree
+    assert (twin.n, twin.source, twin.lone_prev, twin.lone_next) == (
+        demo.n, demo.source, demo.lone_prev, demo.lone_next
     )
     twin.labels[0] = -5
     twin.prev_adj[2].append(99)

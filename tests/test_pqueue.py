@@ -58,8 +58,9 @@ def test_create_validates_order():
         OrderedDagQueue(g, order=[0, 1])
     with pytest.raises(ValueError):
         OrderedDagQueue(g, order=[1, 0, 2])
-    # a repeated, an out-of-range and a negative vertex, each of the right length
-    for order in ([0, 1, 1], [0, 1, 3], [0, -1, 2]):
+    # a repeated, an out-of-range, a negative and a non-int vertex, each of the
+    # right length
+    for order in ([0, 1, 1], [0, 1, 3], [0, -1, 2], [0, "1", 2]):
         with pytest.raises(ValueError) as exc:
             OrderedDagQueue(g, order=order)
         assert str(exc.value) == "order must be a permutation of the vertices", order

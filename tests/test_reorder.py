@@ -396,10 +396,13 @@ def test_sift_cost_accounting(g, data):
 
 
 class NoScan(list):
-    """An adjacency list that refuses to be iterated: a sift that scans it fails."""
+    """An adjacency list that refuses to be iterated, indexed, measured or
+    truth-tested: a sift that reads it at all fails."""
 
-    def __iter__(self):
+    def _refuse(self, *args):
         raise AssertionError("scanned a neighbourhood")
+
+    __iter__ = __getitem__ = __len__ = __bool__ = _refuse
 
 
 @pytest.mark.parametrize("side", ["prev", "next"])
@@ -415,28 +418,32 @@ class NoScan(list):
     ],
 )
 def test_sift_form_follows_the_degree_maxima(spec, one_prev, one_next, side):
-    """A sift follows the one edge and scans nothing exactly when no vertex
-    has two neighbours on its side: trees when lowering, chains when
-    raising. Any other DAG takes the scan loop."""
+    """A sift follows the one edge through ``lone_prev`` (``lone_next``) and
+    reads no adjacency list exactly when no vertex has two neighbours on its
+    side: trees when lowering, chains when raising. Any other DAG takes the
+    scan loop."""
     if spec == "dag40":
         g = parse_dag_text((FIXTURES / "dag40.dag").read_text())
     else:
         g = build(parse_topology(spec))
-    assert (g.max_in_degree < 2, g.max_out_degree < 2) == (one_prev, one_next)
+    assert (g.lone_prev is not None, g.lone_next is not None) == (one_prev, one_next)
     order = topological_order(g)
     for rank, v in enumerate(order):
-        g.labels[v] = rank
+        g.labels[v] = 2 * rank
     g.prev_adj[:] = map(NoScan, g.prev_adj)
     g.next_adj[:] = map(NoScan, g.next_adj)
     if side == "prev":
-        sift, v, new, follows = lower_label, order[-1], -1, one_prev
+        sift, v, new, step, follows = lower_label, order[-1], -1, -1, one_prev
     else:
-        sift, v, new, follows = raise_label, g.source, INF, one_next
+        sift, v, new, step, follows = raise_label, g.source, INF, 1, one_next
     if not follows:
         with pytest.raises(AssertionError, match="scanned"):
             sift(g, v, new)
         return
     c = ComparisonCounter()
+    # an odd label between the neighbours' even ones: no exchange, one test
+    assert len(sift(g, v, g.labels[v] + step, c)) == 0 and c.count == 1
+    c.count = 0
     trace = sift(g, v, new, c)
     assert trace.terminal_vertex == (g.source if side == "prev" else order[-1])
     assert g.labels[trace.terminal_vertex] == new
@@ -473,18 +480,27 @@ def test_one_neighbour_steps_move_inf_and_pay_one_comparison(
         assert raise_label_via_reversal(twin, v, new) == trace and twin.labels == g.labels
 
 
-def test_degree_maxima_are_derived_and_left_out_of_eq_and_repr(monkeypatch):
-    """The maxima the sift form reads are made from the adjacency by every
+def test_lone_neighbours_are_derived_and_left_out_of_eq_and_repr(monkeypatch):
+    """The arrays the sift form reads are made from the adjacency by every
     constructor, never copied, and take no part in ``==`` or ``repr``."""
     single = LabeledDag.from_edges(1, [])
-    assert (single.max_in_degree, single.max_out_degree) == (0, 0)
+    assert (single.lone_prev, single.lone_next) == ([None], [None])
+    star = [None, 0, 0, 0]
+    made = [
+        LabeledDag.from_successors([[1, 2, 3], [], [], []]),
+        LabeledDag.from_edges(4, [(0, 3), (0, 1), (0, 2)]),
+        LabeledDag.from_edges_multi_source(4, [(0, 3), (0, 1), (0, 2)]),
+        build(Star(4)),
+    ]
+    assert all((g.lone_prev, g.lone_next) == (star, None) for g in made)
+    chain = LabeledDag.from_edges_multi_source(4, [(2, 0), (3, 1)])  # two chains
+    assert (chain.lone_prev, chain.lone_next) == ([2, 3, None, None], [None, None, 0, 1])
     g = build(Star(8))
-    assert (g.max_in_degree, g.max_out_degree) == (1, 7)
-    assert "max_" not in repr(g)
-    g.max_in_degree = g.max_out_degree = 99  # stale, as if adjacency changed
+    assert "lone_" not in repr(g)
+    g.lone_prev = g.lone_next = [5] * 8  # stale, as if adjacency changed
     assert g == build(Star(8))
     twin = g.copy()
-    assert (twin.max_in_degree, twin.max_out_degree) == (1, 7)
+    assert (twin.lone_prev, twin.lone_next) == ([None] + [0] * 7, None)
     views = []
     real = reorder.lower_label
 
@@ -495,7 +511,7 @@ def test_degree_maxima_are_derived_and_left_out_of_eq_and_repr(monkeypatch):
     monkeypatch.setattr(reorder, "lower_label", spy)
     g.labels[:] = range(8)
     raise_label_via_reversal(g, 0, INF)
-    assert (views[0].max_in_degree, views[0].max_out_degree) == (7, 1)
+    assert (views[0].lone_prev, views[0].lone_next) == (None, [None] + [0] * 7)
 
 
 def test_sift_determinism(demo):
