@@ -7,7 +7,6 @@ from .analysis import (
     entropy_bound_holds,
     general_bound,
     hypercube_worst_case_closed,
-    hypercube_worst_case_sum,
     stats,
 )
 from .dag import (
@@ -50,7 +49,6 @@ from .topologies import (
     Star,
     Topology,
     YoungGrid,
-    bfs_order,
     build,
     order_for,
     parse_topology,

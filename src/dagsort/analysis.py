@@ -3,8 +3,7 @@
 The general bound is n * L * (d_in + d_out): n queue operations, each
 sifting along at most L edges, each step scanning at most d_in (lowering)
 or d_out (raising) neighbours. The hypercube insert phase additionally has
-an exact worst case, computed here both as a binomial sum and in closed
-form; the two must agree.
+an exact worst case, computed here in closed form.
 """
 
 from __future__ import annotations
@@ -50,15 +49,10 @@ def general_bound(s: DagStats) -> int:
     return s.n * s.longest_path * (s.max_in_degree + s.max_out_degree)
 
 
-def hypercube_worst_case_sum(dims: int) -> int:
-    """Insert-phase worst case as a sum over layers: a layer holds C(k, i)
-    vertices and filling one costs i + (i-1) + ... + 1 comparisons when
-    every insert sifts to the source."""
-    return sum(math.comb(dims, i) * (i + 1) * i // 2 for i in range(dims + 1))
-
-
 def hypercube_worst_case_closed(dims: int) -> int:
-    """Same quantity in closed form: (k*2^k + k*(k-1)*2^(k-2)) / 2."""
+    """Insert-phase worst case: a layer holds C(k, i) vertices and filling
+    one costs i + (i-1) + ... + 1 comparisons when every insert sifts to the
+    source. Summed over the layers: (k*2^k + k*(k-1)*2^(k-2)) / 2."""
     k = dims
     return (k * (1 << k) + k * (k - 1) * (1 << k) // 4) // 2
 

@@ -26,7 +26,6 @@ from .errors import (
     RaiseToInfinityError,
 )
 from .reorder import ComparisonCounter, ExchangeTrace, lower_label, raise_label
-from .topologies import bfs_order
 
 
 class OrderedDagQueue:
@@ -34,9 +33,10 @@ class OrderedDagQueue:
 
     ``order`` fixes where values are inserted: the free vertex at the
     smallest order position; any permutation of the vertices that starts at
-    the source. Sorts pass ``order_for(dag)``, a topological order. The BFS
-    default is kept for direct users; on a non-graded DAG it is not
-    topological, and an insert can pull INF down. Costs go to ``counter``.
+    the source. Sorts pass ``order_for(dag)``, a topological order. With no
+    ``order`` the queue fills breadth-first from the source, neighbours in
+    ascending id; on a non-graded DAG that is not topological, and an insert
+    can pull INF down. Costs go to ``counter``.
     """
 
     def __init__(self, dag: LabeledDag, order=None):
@@ -45,12 +45,21 @@ class OrderedDagQueue:
         if dag.labels.count(INF) != dag.n:
             raise NotAllInfinityError("queue creation requires all labels at INF")
         self.dag = dag
-        order_list = list(order) if order is not None else list(bfs_order(dag))
-        # n entries that include all n vertices are a permutation of them
-        if len(order_list) != dag.n or not set(order_list).issuperset(range(dag.n)):
-            raise ValueError("order must be a permutation of the vertices")
-        if order_list[0] != dag.source:
-            raise ValueError("order must start at the source")
+        if order is None:  # from the one source BFS reaches all n vertices once
+            order_list, seen = [dag.source], bytearray(dag.n)
+            seen[dag.source] = 1
+            for u in order_list:  # the list is the FIFO, as in topological_order
+                for v in dag.next_adj[u]:
+                    if not seen[v]:
+                        seen[v] = 1
+                        order_list.append(v)
+        else:
+            order_list = list(order)
+            # n entries that include all n vertices are a permutation of them
+            if len(order_list) != dag.n or not set(order_list).issuperset(range(dag.n)):
+                raise ValueError("order must be a permutation of the vertices")
+            if order_list[0] != dag.source:
+                raise ValueError("order must start at the source")
         self._order = order_list
         self._position = [0] * dag.n
         for pos, v in enumerate(order_list):

@@ -39,13 +39,14 @@ def random_ordered_labels(
     """Assign random labels in place that satisfy the ordered property.
 
     Walks a topological order giving each vertex the max of its predecessors'
-    labels plus 0 to 5 (ties allowed). ``infinity_tail`` vertices at the end
-    of the order get INF; that set is successor-closed, so ordering holds.
+    labels plus 0 to 5 (ties allowed). The last ``infinity_tail`` vertices
+    of the order (all of them when it exceeds n) get INF; that set is
+    successor-closed, so ordering holds.
     """
     order = topological_order(g)
     labels = g.labels
     for v in order:
         floor = max((labels[u] for u in g.prev_adj[v]), default=rng.randint(-20, 20))
         labels[v] = floor + rng.randrange(6)
-    for v in order[g.n - infinity_tail :] if infinity_tail > 0 else []:
+    for v in order[max(g.n - infinity_tail, 0) :]:
         labels[v] = INF

@@ -1,5 +1,5 @@
-"""The four DAG families the sorting algorithms run on, plus vertex orders:
-``order_for``, where every sort inserts, and ``bfs_order``, the queue's default.
+"""The four DAG families the sorting algorithms run on, plus ``order_for``,
+the vertex order where every sort inserts.
 
 star:N      one source fanning out to N-1 leaves (selection-sort shape)
 path:N      a chain (insertion-sort shape)
@@ -19,13 +19,11 @@ source, so layer order equals distance order.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from typing import ClassVar
 
 from .analysis import DagStats
 from .dag import MAX_DIMS, MAX_ENTRIES, MAX_VERTICES, LabeledDag, topological_order
-from .errors import MultipleSourcesError
 
 
 class Topology:
@@ -185,24 +183,6 @@ def build(t: Topology) -> LabeledDag:
     """
     # successors are taken from ids: one int object per vertex id, not per entry
     return LabeledDag.from_successors(t.successors(list(range(t.capacity))))
-
-
-def bfs_order(g: LabeledDag) -> Iterator[int]:
-    """Yield every vertex once, breadth-first from the source, expanding
-    neighbours in ascending vertex order. Requires a single-source DAG.
-    """
-    if g.prev_adj.count([]) != 1:
-        raise MultipleSourcesError("bfs_order requires a single-source DAG")
-    seen = [False] * g.n
-    seen[g.source] = True
-    queue = deque([g.source])
-    while queue:
-        u = queue.popleft()
-        yield u
-        for v in g.next_adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                queue.append(v)
 
 
 def order_for(g: LabeledDag) -> list[int]:

@@ -6,6 +6,7 @@ The oracles are deliberately written differently from the production code
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -16,7 +17,6 @@ from dagsort import (
     ComparisonCounter,
     LabeledDag,
     MultipleSourcesError,
-    bfs_order,
     format_label,
     lower_label,
     raise_label,
@@ -90,6 +90,29 @@ def oracle_dot_snapshots(g, labels_before, vertex, new_label, trace) -> list[str
             replay_states(g, labels_before, vertex, new_label, trace)
         )
     ]
+
+
+def bfs_order(g: LabeledDag) -> list[int]:
+    """Breadth-first order from the source, neighbours in ascending id,
+    built layer by layer: the queue's default fill order."""
+    order, layer, seen = [], [g.source], {g.source}
+    while layer:
+        order += layer
+        below = []
+        for u in layer:
+            for v in sorted(g.next_adj[u]):
+                if v not in seen:
+                    seen.add(v)
+                    below.append(v)
+        layer = below
+    return order
+
+
+def hypercube_worst_case_sum(dims: int) -> int:
+    """Insert-phase worst case on a k-cube as a sum over layers: a layer
+    holds C(k, i) vertices and filling one costs i + (i-1) + ... + 1
+    comparisons when every insert sifts to the source."""
+    return sum(math.comb(dims, i) * (i + 1) * i // 2 for i in range(dims + 1))
 
 
 def longest_path_ending_at(g: LabeledDag) -> list[int]:
@@ -183,7 +206,7 @@ class ScanQueue:
     remove-min raises the source's label to INF."""
 
     def __init__(self, g: LabeledDag):
-        self.dag, self.order, self.counter = g, list(bfs_order(g)), ComparisonCounter()
+        self.dag, self.order, self.counter = g, bfs_order(g), ComparisonCounter()
 
     def __len__(self) -> int:
         return self.dag.n - self.dag.labels.count(INF)

@@ -25,7 +25,6 @@ from dagsort import (
     entropy_bound_holds,
     hypercube_sort,
     hypercube_worst_case_closed,
-    hypercube_worst_case_sum,
     lower_label,
     raise_label,
     raise_label_via_reversal,
@@ -36,7 +35,13 @@ from dagsort.cli import make_pattern
 from dagsort.random_dags import random_ordered_labels, random_single_source_dag
 from dagsort.topologies import order_for
 
-from support import bad_edges, longest_path_ending_at, longest_path_starting_at, replay_states
+from support import (
+    bad_edges,
+    hypercube_worst_case_sum,
+    longest_path_ending_at,
+    longest_path_starting_at,
+    replay_states,
+)
 
 DEMO_FIXTURE = str(FilePath(__file__).resolve().parent.parent / "fixtures" / "demo12.dag")
 
@@ -213,12 +218,12 @@ def test_5_sift_property_suite():
             if lowering:
                 new = rng.randint(-50, 50) if old == INF else old - rng.randint(1, 12)
                 trace = lower_label(g, v, new)
-                if len(trace.steps) > to_source[v]:
+                if len(trace) > to_source[v]:
                     ok_steps = False
             else:
                 new = old + rng.randint(1, 12)
                 trace = raise_label(g, v, new)
-                if len(trace.steps) > to_sinks[v]:
+                if len(trace) > to_sinks[v]:
                     ok_steps = False
             if ops % 3 == 0:
                 # both halves of the loop invariant, at every state of the sift
@@ -233,7 +238,7 @@ def test_5_sift_property_suite():
                         ok_invariant = False
                 if state.labels != g.labels:
                     ok_invariant = False
-            if len(trace.steps) > longest:
+            if len(trace) > longest:
                 ok_steps = False
             if not g.is_ordered():
                 ok_ordered = False

@@ -17,14 +17,13 @@ from dagsort import (
     entropy_bound_holds,
     general_bound,
     hypercube_worst_case_closed,
-    hypercube_worst_case_sum,
     stats,
 )
 from dagsort.analysis import log2_factorial
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_single_source_dag
 
-from support import dfs_longest_path_from_source, single_source_dags
+from support import dfs_longest_path_from_source, hypercube_worst_case_sum, single_source_dags
 
 
 def test_stats_examples():

@@ -1,5 +1,6 @@
 """Construction, validation, orderedness and the text format."""
 
+import random
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,7 @@ from dagsort import (
     topological_order,
 )
 from dagsort.demo import DEMO_TEXT
+from dagsort.random_dags import random_ordered_labels, random_single_source_dag
 
 from support import assert_adjacency_consistent, single_source_dags
 
@@ -124,6 +126,17 @@ def test_topological_order_is_kahns_fifo_order():
     assert topological_order(g) == [1, 3, 0, 2, 4]
     chain = LabeledDag.from_edges(4, [(2, 0), (0, 3), (3, 1)])
     assert topological_order(chain) == [2, 0, 3, 1]
+
+
+@pytest.mark.parametrize(
+    "n, tail", [(1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 4), (5, 2), (5, 9), (5, 10)]
+)
+def test_random_ordered_labels_puts_inf_on_the_last_tail_vertices(n, tail):
+    g = random_single_source_dag(random.Random(n), n)
+    random_ordered_labels(random.Random(tail), g, infinity_tail=tail)
+    assert g.labels.count(INF) == min(tail, n)
+    at_inf = [g.labels[v] == INF for v in topological_order(g)]
+    assert at_inf == sorted(at_inf) and g.is_ordered()  # the order's last ones
 
 
 def test_text_format_infinity_and_no_labels():

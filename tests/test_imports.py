@@ -72,3 +72,17 @@ def test_private_checker_flags_only_the_unreferenced_name():
 def test_no_unreferenced_private_defs_in_src():
     sources = {str(p.relative_to(REPO)): p.read_text() for p in SRC}
     assert unreferenced_private_defs(sources) == []
+
+
+def test_pqueue_imports_no_higher_layer():
+    """The queue stands on ``dag``, ``errors`` and ``reorder`` alone: it
+    builds its default order itself, so no family, bound, sort or CLI code
+    comes with it."""
+    tree = ast.parse((REPO / "src" / "dagsort" / "pqueue.py").read_text())
+    imported = set()  # modules and names, so ``from . import x`` counts too
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+            imported.add(getattr(node, "module", None) or "")
+    layers = {part for name in imported for part in name.split(".")}
+    assert not layers & {"topologies", "analysis", "sorting", "cli"}, imported

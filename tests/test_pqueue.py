@@ -23,7 +23,6 @@ from dagsort import (
     OrderedDagQueue,
     Path,
     RaiseToInfinityError,
-    bfs_order,
     build,
     lower_label,
     order_for,
@@ -33,7 +32,7 @@ from dagsort import (
 from dagsort.demo import demo_dag
 from dagsort.random_dags import random_single_source_dag
 
-from support import ScanQueue, finite_multiset, single_source_dags
+from support import ScanQueue, bfs_order, finite_multiset, single_source_dags
 
 FAMILIES = ("star:8", "path:8", "grid:2:3", "hypercube:3")
 
@@ -526,6 +525,23 @@ def test_queue_fuzz_on_non_graded_dags(g, ops):
         assert q.dag.is_ordered()
         assert finite_multiset(q.dag) == oracle
         assert len(q) == oracle.total()
+
+
+def test_default_order_fills_breadth_first():
+    """With no ``order`` the queue fills breadth-first from the source,
+    neighbours in ascending id. On 200 random non-graded DAGs, where that
+    order need not be topological and inserts can pull INF down, every
+    insert leaves the labels and the count of a reference that scans
+    ``support.bfs_order`` for the first free slot."""
+    rng = random.Random(26)
+    for _ in range(200):
+        g = random_single_source_dag(rng, rng.randint(1, 40))
+        q, ref = OrderedDagQueue(g), ScanQueue(g.copy())
+        for _ in range(g.n):
+            x = rng.randrange(100)
+            assert q.insert(x) == ref.insert(x)
+            assert q.dag.labels == ref.dag.labels
+            assert q.counter.count == ref.counter.count
 
 
 def test_free_slot_map_hands_out_the_first_free_slot_under_churn():

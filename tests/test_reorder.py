@@ -218,8 +218,7 @@ def test_selectors_match_oracle(g, data):
     assert state.labels == g.labels
     # each state's pick is the next exchange's target; the last state has none
     assert picks == trace.path[1:] + [None]
-    visited = [v] + [s.to_vertex for s in trace.steps]
-    assert c.count == sum(len(adj[u]) for u in visited)
+    assert c.count == sum(len(adj[u]) for u in trace.path)
 
 
 @given(ordered_dags(infinity_tail=True), st.data())
@@ -391,8 +390,7 @@ def test_sift_cost_accounting(g, data):
         trace, adj = lower_label(g, v, g.labels[v] - delta, c), g.prev_adj
     else:
         trace, adj = raise_label(g, v, g.labels[v] + delta, c), g.next_adj
-    visited = [v] + [s.to_vertex for s in trace.steps]
-    assert c.count == sum(len(adj[u]) for u in visited)
+    assert c.count == sum(len(adj[u]) for u in trace.path)
 
 
 class NoScan(list):

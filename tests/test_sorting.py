@@ -14,19 +14,17 @@ from dagsort import (
     SizeMismatchError,
     Star,
     YoungGrid,
-    bfs_order,
     build,
     dag_sort,
     general_bound,
     hypercube_sort,
     hypercube_worst_case_closed,
-    hypercube_worst_case_sum,
     order_for,
     stats,
     worst_case_input,
 )
 
-from support import single_source_dags
+from support import bfs_order, hypercube_worst_case_sum, single_source_dags
 
 
 def run(t, values):
